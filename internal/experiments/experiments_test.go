@@ -274,3 +274,32 @@ func TestResultJSON(t *testing.T) {
 		}
 	}
 }
+
+// TestFig11SeriesDeterministic runs Fig 11 twice on one seed and
+// requires bit-identical series: the FE average sums per-switch
+// utilizations, and a float sum taken in map-iteration order drifts in
+// its last digits from run to run.
+func TestFig11SeriesDeterministic(t *testing.T) {
+	e, _ := ByID("fig11")
+	a := e.Run(RunConfig{Seed: 1, Quick: true})
+	b := e.Run(RunConfig{Seed: 1, Quick: true})
+	if len(a.Series) != len(b.Series) {
+		t.Fatalf("series count %d then %d", len(a.Series), len(b.Series))
+	}
+	for i, sa := range a.Series {
+		sb := b.Series[i]
+		if sa.Name() != sb.Name() || sa.Len() != sb.Len() {
+			t.Fatalf("series %d: %s/%d points then %s/%d", i, sa.Name(), sa.Len(), sb.Name(), sb.Len())
+		}
+		for j := 0; j < sa.Len(); j++ {
+			ta, va := sa.At(j)
+			tb, vb := sb.At(j)
+			if ta != tb || va != vb {
+				t.Fatalf("%s point %d: (%v, %v) then (%v, %v)", sa.Name(), j, ta, va, tb, vb)
+			}
+		}
+	}
+	if a.Render() != b.Render() {
+		t.Fatal("fig11 renders differently on the same seed")
+	}
+}

@@ -89,10 +89,12 @@ func runFig11(cfg RunConfig) *Result {
 	loop := r.c.Loop
 
 	beMeter := nic.NewUtilMeter(r.serverSwitch().CPU())
-	feMeters := make(map[packet.IPv4]*nic.UtilMeter)
-	for i := len(r.clients) + 1; i < len(r.c.Switches); i++ {
-		vs := r.c.Switch(i)
-		feMeters[vs.Addr()] = nic.NewUtilMeter(vs.CPU())
+	// FE candidates follow the clients and the server; their meters sit
+	// in switch-index order so the average sums in a fixed order.
+	feFirst := len(r.clients) + 1
+	var feMeters []*nic.UtilMeter
+	for i := feFirst; i < len(r.c.Switches); i++ {
+		feMeters = append(feMeters, nic.NewUtilMeter(r.c.Switch(i).CPU()))
 	}
 
 	beSeries := metrics.NewSeries("fig11-be-cpu")
@@ -116,13 +118,11 @@ func runFig11(cfg RunConfig) *Result {
 		now := loop.Now().Seconds()
 		beSeries.Record(now, beMeter.Sample()*100)
 		sum, n := 0.0, 0
-		for addr, m := range feMeters {
+		for j, m := range feMeters {
 			u := m.Sample()
-			for i := len(r.clients) + 1; i < len(r.c.Switches); i++ {
-				if r.c.Switch(i).Addr() == addr && r.c.Switch(i).HostsFE(rigServerVNIC) {
-					sum += u
-					n++
-				}
+			if r.c.Switch(feFirst + j).HostsFE(rigServerVNIC) {
+				sum += u
+				n++
 			}
 		}
 		if n > 0 {

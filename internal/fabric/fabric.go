@@ -240,12 +240,20 @@ func (f *Fabric) putGroup(g []*packet.Packet) {
 // counts as lost, as does a partition active at either end of the
 // flight: a partition raised mid-flight kills the frames already on
 // the wire. The packet's hop counter advances on delivery.
+//
+// Ownership: Send takes p, like SendBurst. A packet lost at the link,
+// dropped by the fault injector, or lost in flight is released here; a
+// delivered packet passes to the handler. In wire mode the handler
+// gets a decoded copy, and the original and its wire buffer are
+// released when the flight resolves.
 func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
+	p.CheckLive()
 	f.Sends++
 	dst, ok := f.nodes[to]
 	if !ok || f.partitions[pairKey(from, to)] {
 		f.Lost++
 		f.traceHop(p.ID, from, "wire-lost", to)
+		p.Release()
 		return
 	}
 	lat := f.Latency(from, to, p.SizeBytes)
@@ -256,6 +264,7 @@ func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 				f.ChaosLost++
 			}
 			f.traceHop(p.ID, from, "chaos-lost", to)
+			p.Release()
 			return
 		}
 		if v.Jitter > 0 {
@@ -276,15 +285,21 @@ func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
 		if !ok || cur != dst || cur.handler == nil || f.partitions[pairKey(from, to)] {
 			f.Lost++
 			f.traceHop(p.ID, from, "wire-lost", to)
+			packet.PutBuf(wire)
+			p.Release()
 			return
 		}
 		deliver := p
 		if wire != nil {
+			// Decode before releasing the original, so the copy never
+			// reuses the original's pooled struct.
 			q, err := packet.Unmarshal(wire)
 			packet.PutBuf(wire)
+			id := p.ID
+			p.Release()
 			if err != nil {
 				f.Lost++
-				f.traceHop(p.ID, from, "wire-lost", to)
+				f.traceHop(id, from, "wire-lost", to)
 				return
 			}
 			deliver = q
@@ -314,7 +329,7 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 	// The destination, partition state, and propagation delay cannot
 	// change mid-call: fault injectors are pure per-send draws (the
 	// FaultInjector contract) and no events run inside one burst, so
-	// the scalar path's per-packet checks hoist to one check here.
+	// Send's per-packet checks hoist to one check here.
 	if _, ok := f.nodes[to]; !ok || f.partitions[pairKey(from, to)] {
 		for _, p := range ps {
 			p.CheckLive()

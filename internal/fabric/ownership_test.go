@@ -1,0 +1,70 @@
+//go:build simdebug
+
+package fabric
+
+import (
+	"testing"
+
+	"nezha/internal/packet"
+	"nezha/internal/sim"
+)
+
+// These tests only exist under -tags simdebug, where a double Release
+// panics. Send takes ownership of its packet: every packet it loses
+// must already be back in the pool, so the caller's stray second
+// Release trips the guard.
+
+func pooledPkt(id uint64) *packet.Packet {
+	return packet.Get(id, 1, 1, packet.FiveTuple{
+		SrcIP: ip(10, 0, 0, 1), DstIP: ip(10, 0, 0, 2),
+		SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP,
+	}, packet.DirTX, 0, 100)
+}
+
+func mustDoubleRelease(t *testing.T, name string, p *packet.Packet) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != "packet: double release" {
+			t.Fatalf("%s: second Release of a lost packet: got panic %v, want double release", name, r)
+		}
+	}()
+	p.Release()
+}
+
+func TestSendReleasesLostPackets(t *testing.T) {
+	a, b := ip(1, 0, 0, 1), ip(1, 0, 0, 2)
+	for _, tc := range []struct {
+		name  string
+		setup func(f *Fabric)
+		after func(f *Fabric) // runs between Send and the flight resolving
+	}{
+		{name: "unreachable", setup: func(f *Fabric) { f.Unregister(b) }},
+		{name: "partition", setup: func(f *Fabric) { f.Partition(a, b) }},
+		{name: "chaos-drop", setup: func(f *Fabric) {
+			f.SetFaultInjector(func(from, to packet.IPv4, p *packet.Packet) FaultVerdict {
+				return FaultVerdict{Drop: true}
+			})
+		}},
+		{name: "in-flight", after: func(f *Fabric) { f.Unregister(b) }},
+		{name: "in-flight-wire", setup: func(f *Fabric) { f.SetWireMode(true) }, after: func(f *Fabric) { f.Partition(a, b) }},
+		{name: "delivered-wire-original", setup: func(f *Fabric) { f.SetWireMode(true) }},
+	} {
+		loop := sim.NewLoop(1)
+		f := New(loop)
+		f.Register(a, 0, nil)
+		f.Register(b, 0, func(p *packet.Packet) { p.Release() })
+		if tc.setup != nil {
+			tc.setup(f)
+		}
+		p := pooledPkt(1)
+		f.Send(a, b, p)
+		if tc.after != nil {
+			tc.after(f)
+		}
+		loop.RunAll()
+		if f.InFlight() != 0 {
+			t.Fatalf("%s: %d packets still in flight", tc.name, f.InFlight())
+		}
+		mustDoubleRelease(t, tc.name, p)
+	}
+}

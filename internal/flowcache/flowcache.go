@@ -19,11 +19,8 @@
 //
 // Layout: the table is sharded by session-key hash into numShards
 // open-addressed arrays (linear probing, backward-shift deletion,
-// pointer buckets over a freelist of entries). Shard selection uses
-// the same hash the per-core dispatcher uses (packet.RSSWorker), so
-// for any power-of-two worker count W dividing numShards, worker w
-// touches exactly the shards s with s ≡ w (mod W) — each worker owns
-// its slice of the flowcache. The *H method variants accept the
+// pointer buckets over a freelist of entries), selected by the low
+// bits of the session-key hash. The *H method variants accept the
 // caller's precomputed key hash so the datapath hashes each packet's
 // key once.
 package flowcache
@@ -104,9 +101,8 @@ type Config struct {
 	VariableState bool
 }
 
-// numShards is the shard count; must stay a power of two so shard
-// ownership aligns with packet.RSSWorker for power-of-two worker
-// counts (see package comment).
+// numShards is the shard count; must stay a power of two (shardOf
+// masks the hash).
 const numShards = 8
 
 // minShardBuckets keeps tiny shards probe-friendly.
@@ -120,8 +116,7 @@ type shard struct {
 }
 
 // Table is the session table. Not safe for concurrent use; the
-// simulation is single-threaded by design (per-core workers partition
-// flows, they do not introduce parallelism).
+// simulation is single-threaded by design.
 type Table struct {
 	cfg    Config
 	shards [numShards]shard
@@ -155,9 +150,7 @@ func (s *shard) init() {
 	s.n = 0
 }
 
-// shardOf selects the shard for a hash. Uses the low bits — the same
-// bits packet.RSSWorker reduces — so worker ownership and shard
-// ownership coincide for power-of-two worker counts.
+// shardOf selects the shard for a hash by its low bits.
 func (t *Table) shardOf(hash uint64) *shard {
 	return &t.shards[hash&(numShards-1)]
 }
@@ -235,7 +228,7 @@ func (s *shard) remove(key packet.SessionKey, hash uint64) *Entry {
 			return victim
 		}
 		home := e.hash & s.mask
-		if ((j-home)&s.mask) >= ((j-i)&s.mask) {
+		if ((j - home) & s.mask) >= ((j - i) & s.mask) {
 			s.buckets[i] = e
 			s.buckets[j] = nil
 			i = j
@@ -282,8 +275,8 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 }
 
 // LookupH is Lookup with the key hash precomputed by the caller (the
-// datapath hashes each packet's key once and reuses it for worker
-// dispatch, shard selection, and probing).
+// datapath hashes each packet's key once and reuses it for shard
+// selection and probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
 	e := t.shardOf(hash).probe(key, hash)
 	if e == nil {
@@ -303,16 +296,6 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 // PeekH is Peek with a precomputed hash.
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
 	return t.shardOf(hash).probe(key, hash)
-}
-
-// Hit records a lookup hit served from an entry the caller already
-// holds (the burst pipeline's eligibility probe), with exactly the
-// side effects LookupH's hit path has: the hit counter and the entry's
-// LastSeen refresh. Skipping the duplicate probe this way keeps every
-// observable — counters, aging — identical to probing again.
-func (t *Table) Hit(e *Entry, now int64) {
-	t.Hits++
-	e.LastSeen = now
 }
 
 // GetOrCreate returns the existing entry or inserts an empty one,

@@ -40,10 +40,10 @@ type CPU struct {
 // pickCore returns the earliest-free core. Ties resolve to the LOWEST
 // core index: the heap key is (busyUntil, index)-lexicographic, so an
 // earlier core with the same busy-until time always wins. This
-// tie-break is part of the placement contract — per-worker burst
-// planning and the scalar/burst differential both depend on
-// submission order mapping to the same lexicographic core choice —
-// and is pinned by TestPickCoreTieBreak.
+// tie-break is part of the placement contract — the vSwitch's
+// batched-vs-singleton differential depends on submission order
+// mapping to the same lexicographic core choice — and is pinned by
+// TestPickCoreTieBreak.
 func (c *CPU) pickCore() int { return int(c.order[0] & (1<<c.orderShift - 1)) }
 
 // orderKey packs a core's placement key. Packing is exact as long as

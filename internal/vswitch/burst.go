@@ -1,49 +1,46 @@
 package vswitch
 
-// Burst datapath (DESIGN.md §10, §15): opt-in entry points that move
-// whole batches of packets through the vSwitch with the per-packet
-// semantics of the scalar path — identical CPU placement, admission
-// decisions, cycle charges, and egress order — while amortizing
-// everything that is per-arrival bookkeeping rather than per-packet
-// work: the vNIC lookup, the CPU scheduler events (one per completion
-// wave instead of one per packet, via nic.CPU.SubmitBurst), and the
-// fabric events (one per same-deadline group instead of one per
-// packet, via fabric.SendBurst). The plan stage itself lives in
-// worker.go, shared between the sequential pipeline and the per-core
-// run-to-completion workers.
-//
-// The scalar entry points remain untouched, so everything built on
-// them — including the chaos campaigns and their golden digests — is
-// bit-identical with or without this file.
+// The vSwitch datapath (DESIGN.md §10, §15) is one plan/act pipeline
+// per Nezha pipeline (Fig 5), and a scalar packet is a burst of one.
+// FromVM, FromVMBurst, HandleUnderlay and HandleUnderlayBurst all
+// plan a run of same-pipeline packets in arrival order (datapath.go),
+// submit the planned acts to the CPU model as one burst, and execute
+// each act at its CPU completion through a pooled burstRun sink. What
+// a longer run amortizes is per-arrival bookkeeping: the vNIC lookup,
+// the CPU scheduler events (one per completion wave, via
+// nic.CPU.SubmitBurstTo), and the fabric events (one per
+// same-deadline group, via fabric.SendBurst). A run of one takes one
+// CPU event and one fabric event.
 
 import (
 	"nezha/internal/packet"
+	"nezha/internal/prof"
 	"nezha/internal/sim"
+	"nezha/internal/tables"
 )
 
 // burstAct is the planned egress side effect of one CPU-submitted
 // packet. The pre-CPU stages (lookup, state, admission) run at plan
-// time, exactly as the scalar path runs them at arrival; the act
-// executes when the CPU completes the packet. worker records which
-// run-to-completion worker planned it, for per-worker CPU accounting.
+// time, at the packet's arrival; the act executes when the CPU
+// completes the packet.
 type burstAct struct {
 	p      *packet.Packet
 	cycles uint64
 	kind   uint8
-	worker int32
-	to     packet.IPv4 // actForward / actRelay destination
-	peer   uint32      // actForward peer-vNIC rewrite
-	vnic   uint32      // actDeliver target vNIC
-	strip  bool        // strip the Nezha header before egress
+	policy tables.StatsPolicy // actNotify: the stats policy to install
+	strip  bool               // strip the Nezha header before egress
+	to     packet.IPv4        // actForward / actRelay destination
+	peer   uint32             // actForward peer-vNIC rewrite
+	vnic   uint32             // actDeliver target vNIC
 }
 
 const (
 	actForward uint8 = iota // overlay rewrite + encap + fabric send
 	actRelay                // encap + fabric send (BE→FE, FE→BE relays)
 	actDeliver              // hand to the local VM
+	actNotify               // absorb a notify packet, install its policy
 	actDropACL
 	actDropNoRoute
-	actNone // empty merge slot: the packet was consumed at plan time
 )
 
 // pendSend is an egress waiting for the end of its completion wave,
@@ -92,8 +89,8 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 		return
 	}
 	// VM-level rate admission runs over the whole batch in arrival
-	// order, before any pipeline split — the limiter is a strictly
-	// order-sensitive shared bucket.
+	// order before planning — the limiter is a strictly order-sensitive
+	// shared bucket.
 	admitted := vs.admitBuf[:0]
 	for _, p := range ps {
 		if vs.rateAdmit(vn, p) {
@@ -106,9 +103,9 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 	}
 	switch {
 	case vn.offloaded && len(vn.fes) > 0:
-		vs.beTXBurst(vn, admitted)
+		vs.runPipeline(pipeBeTX, vn, nil, admitted)
 	case vn.rules != nil:
-		vs.localTXBurst(vn, admitted)
+		vs.runPipeline(pipeLocalTX, vn, nil, admitted)
 	default:
 		for _, p := range admitted {
 			vs.drop(p, DropNoRules)
@@ -117,10 +114,10 @@ func (vs *VSwitch) fromVMRun(ps []*packet.Packet) {
 }
 
 // HandleUnderlayBurst receives a coalesced fabric burst. Runs of
-// consecutive packets that classify to the same batched RX pipeline
-// (hosted-FE RX, monolithic RX) move as a unit; everything else —
-// probes, pongs, control RPCs, Nezha-typed relays — takes the scalar
-// path packet by packet, in order.
+// consecutive packets that classify to the same RX pipeline (hosted-FE
+// RX, monolithic RX) move as a unit; everything else — probes, pongs,
+// control RPCs, Nezha-typed relays — goes through HandleUnderlay
+// packet by packet, in order.
 func (vs *VSwitch) HandleUnderlayBurst(ps []*packet.Packet) {
 	if vs.crashed || len(ps) == 1 {
 		for _, p := range ps {
@@ -143,10 +140,10 @@ func (vs *VSwitch) HandleUnderlayBurst(ps []*packet.Packet) {
 		switch cls {
 		case classFeRX:
 			vs.Stats.FromNet += uint64(len(run))
-			vs.feRXBurst(vs.fes[vnic], run)
+			vs.runPipeline(pipeFeRX, nil, vs.fes[vnic], run)
 		case classLocalRX:
 			vs.Stats.FromNet += uint64(len(run))
-			vs.localRXBurst(vs.vnics[vnic], run)
+			vs.runPipeline(pipeLocalRX, vs.vnics[vnic], nil, run)
 		default:
 			vs.HandleUnderlay(run[0])
 		}
@@ -155,12 +152,12 @@ func (vs *VSwitch) HandleUnderlayBurst(ps []*packet.Packet) {
 }
 
 const (
-	classOther uint8 = iota // scalar HandleUnderlay handles it
+	classOther uint8 = iota // HandleUnderlay dispatches it alone
 	classFeRX
 	classLocalRX
 )
 
-// classifyRX decides which batched pipeline (if any) an underlay
+// classifyRX decides which batched RX pipeline (if any) an underlay
 // packet belongs to. It mirrors HandleUnderlay's dispatch order.
 func (vs *VSwitch) classifyRX(p *packet.Packet) (uint8, uint32) {
 	if p.Tuple.Proto == packet.ProtoUDP &&
@@ -193,81 +190,91 @@ func (vs *VSwitch) sameRXClass(p *packet.Packet, vnic uint32) bool {
 	return p.Nezha == nil || p.Nezha.Type == packet.NezhaNone
 }
 
-// The four batched pipelines: plan via worker.go, then one CPU burst.
-
-func (vs *VSwitch) localTXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeLocalTX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-func (vs *VSwitch) beTXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeBeTX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-func (vs *VSwitch) feRXBurst(fe *feInstance, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeFeRX, nil, fe, vs.profFE(fe), ps, true)
-}
-
-func (vs *VSwitch) localRXBurst(vn *vnicState, ps []*packet.Packet) {
-	vs.runBurstPipeline(pipeLocalRX, vn, nil, vs.profVNIC(vn), ps, false)
-}
-
-// runPlan submits the planned packets to the CPU as one burst and
-// executes each act at its completion. Sends accumulate per wave and
-// leave as coalesced fabric bursts when the wave ends — the same
-// instant the scalar path would have sent them one by one. The acts
-// buffer is pooled: the completion closure owns it until the last
-// completion fires (multiple bursts can be in flight), then returns it
-// via putActs.
-func (vs *VSwitch) runPlan(acts []burstAct, remote bool) {
+// runPipeline plans a run of same-pipeline packets in arrival order
+// and submits the planned acts to the CPU as one burst. vn is set for
+// the resident-vNIC pipelines, fe for the hosted-FE ones, whose work
+// counts as remote.
+func (vs *VSwitch) runPipeline(pipe uint8, vn *vnicState, fe *feInstance, ps []*packet.Packet) {
+	var vp *prof.VNICProf
+	if fe != nil {
+		vp = vs.profFE(fe)
+	} else {
+		vp = vs.profVNIC(vn)
+	}
+	r := vs.getRun()
+	acts := r.one[:0]
+	if len(ps) > 1 {
+		acts = vs.getActs(len(ps))
+	}
+	var a burstAct
+	for _, p := range ps {
+		key, hash, _ := p.SessionKeyHashed()
+		if vs.planPacket(pipe, vn, fe, vp, p, key, hash, &a) {
+			acts = append(acts, a)
+		}
+	}
+	r.acts = acts
+	r.remaining = len(acts)
 	if len(acts) == 0 {
-		vs.putActs(acts)
+		vs.putRun(r)
 		return
 	}
 	costs := vs.burstCosts[:0]
 	for i := range acts {
 		costs = append(costs, acts[i].cycles)
-		if remote {
+		if fe != nil {
 			vs.cyclesRemote += acts[i].cycles
 		} else {
 			vs.cyclesLocal += acts[i].cycles
 		}
-		if vs.workers != nil {
-			vs.workers.Charge(int(acts[i].worker), acts[i].cycles)
-		}
 	}
 	vs.burstCosts = costs
 	vs.inFlightCPU += len(acts)
-	vs.cpu.SubmitBurstTo(costs, vs.getRun(acts))
+	vs.cpu.SubmitBurstTo(costs, r)
 }
 
-// burstRun is one submitted burst's nic.BurstSink: it executes each
-// act at its CPU completion and recycles the act buffer (and itself)
-// when the burst's last item resolves. Runs are pooled on the vSwitch
-// so submitting a burst allocates nothing; several can be in flight
-// at once, each owning its act buffer.
+// getActs takes a pooled act buffer for a multi-packet run; the run
+// returns it when its last completion fires, so several runs can be in
+// flight with their own buffers.
+func (vs *VSwitch) getActs(n int) []burstAct {
+	if m := len(vs.actsFree); m > 0 {
+		a := vs.actsFree[m-1]
+		vs.actsFree = vs.actsFree[:m-1]
+		return a[:0]
+	}
+	return make([]burstAct, 0, n)
+}
+
+// burstRun is one submitted run's nic.BurstSink: it executes each act
+// at its CPU completion and recycles itself (and a pooled act buffer)
+// when the run's last item resolves. Runs are pooled on the vSwitch,
+// and a run of one plans into the inline slot, so submitting a run
+// allocates nothing.
 type burstRun struct {
 	vs        *VSwitch
 	acts      []burstAct
+	one       [1]burstAct // acts' backing for a run of one
 	remaining int
 	next      *burstRun
 }
 
-func (vs *VSwitch) getRun(acts []burstAct) *burstRun {
+func (vs *VSwitch) getRun() *burstRun {
 	r := vs.runFree
 	if r == nil {
-		r = &burstRun{}
-	} else {
-		vs.runFree = r.next
-		r.next = nil
+		return &burstRun{vs: vs}
 	}
-	r.vs = vs
-	r.acts = acts
-	r.remaining = len(acts)
+	vs.runFree = r.next
+	r.next = nil
 	return r
 }
 
+// putRun recycles r, and its act buffer unless that is the inline slot.
 func (vs *VSwitch) putRun(r *burstRun) {
+	if cap(r.acts) > 1 {
+		vs.actsFree = append(vs.actsFree, r.acts)
+	}
 	r.acts = nil
+	r.one[0] = burstAct{}
 	r.next = vs.runFree
 	vs.runFree = r
 }
@@ -300,6 +307,15 @@ func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
 				vs.stripNezha(a.p)
 			}
 			vs.deliverToVM(a.vnic, a.p)
+		case actNotify:
+			vs.Stats.Absorbed++
+			key, hash, _ := a.p.SessionKeyHashed()
+			a.p.Release()
+			if cur := vs.sessions.PeekH(key, hash); cur != nil {
+				st := cur.State
+				st.Policy = a.policy
+				_ = vs.sessions.SetState(cur, st)
+			}
 		case actDropACL:
 			vs.drop(a.p, DropACL)
 		case actDropNoRoute:
@@ -308,7 +324,6 @@ func (r *burstRun) Complete(i int, ok bool, d sim.Time) {
 	}
 	r.remaining--
 	if r.remaining == 0 {
-		vs.putActs(r.acts)
 		vs.putRun(r)
 	}
 }

@@ -12,11 +12,13 @@ import (
 	"nezha/internal/tables"
 )
 
-// These tests pin the burst pipeline's core contract: pushing the
-// same traffic through FromVMBurst / HandleUnderlayBurst produces the
-// exact same deliveries (order and latency), the same counters, and
-// the same drops as pushing it packet by packet through the scalar
-// entry points. Only the event count may differ.
+// These tests pin the pipeline's batching contract: pushing the same
+// traffic through FromVMBurst / HandleUnderlayBurst produces the exact
+// same deliveries (order and latency), the same counters, and the same
+// drops as pushing it packet by packet through FromVM, where every
+// packet is a run of one. Batched runs merge CPU completions into
+// waves and sends into coalesced fabric bursts; only the event count
+// may differ.
 
 // burstOp is one generated packet: direction, flow, flags, size, and
 // the two deliberate misbehaviors (denied port, unrouted destination).
@@ -106,21 +108,16 @@ type burstOutcome struct {
 	policyLog []string
 }
 
-// runBurstScenario drives the generated batches through a fresh world
-// in either scalar or burst mode and snapshots the outcome. workers
-// sets Config.Workers on every vSwitch (0 keeps the sequential burst
-// pipeline); the outcome must not depend on it.
-func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool, workers int) burstOutcome {
+// runBurstScenario drives the generated batches through a fresh world,
+// each batch either as one FromVMBurst or packet by packet through
+// FromVM (runs of one), and snapshots the outcome.
+func runBurstScenario(t *testing.T, batches [][]burstOp, burst, offload bool) burstOutcome {
 	t.Helper()
 	nFEs := 0
 	if offload {
 		nFEs = 2
 	}
-	var cfgMut func(*Config)
-	if workers > 0 {
-		cfgMut = func(cfg *Config) { cfg.Workers = workers }
-	}
-	w := newWorld(t, nFEs, cfgMut)
+	w := newWorld(t, nFEs, nil)
 	// Profile both runs: the drained attribution totals are part of the
 	// scalar/burst contract — every charge site must fire identically.
 	pr := prof.New()
@@ -291,14 +288,14 @@ func diffOutcomes(t *testing.T, name string, scalar, burst burstOutcome) {
 }
 
 // TestBurstMatchesScalarMonolithic drives random batches through two
-// monolithic vNICs: FromVMBurst on the TX side, localRXBurst via the
-// coalesced fabric delivery on the RX side.
+// monolithic vNICs: FromVMBurst on the TX side, the local RX pipeline
+// via the coalesced fabric delivery on the RX side.
 func TestBurstMatchesScalarMonolithic(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := sim.NewRand(seed)
 		batches := genBurstBatches(rng, 40)
-		scalar := runBurstScenario(t, batches, false, false, 0)
-		burst := runBurstScenario(t, batches, true, false, 0)
+		scalar := runBurstScenario(t, batches, false, false)
+		burst := runBurstScenario(t, batches, true, false)
 		diffOutcomes(t, fmt.Sprintf("mono/seed%d", seed), scalar, burst)
 		if scalar.deliv == 0 {
 			t.Fatalf("mono/seed%d: no traffic delivered — scenario proves nothing", seed)
@@ -307,15 +304,15 @@ func TestBurstMatchesScalarMonolithic(t *testing.T) {
 }
 
 // TestBurstMatchesScalarOffloaded repeats the differential run with
-// the server vNIC offloaded to two FEs, covering beTXBurst (state
-// carriage toward the FEs) and feRXBurst (stateless pre-action lookup
-// and relay toward the BE).
+// the server vNIC offloaded to two FEs, covering batched BE TX runs
+// (state carriage toward the FEs) and FE RX runs (stateless pre-action
+// lookup and relay toward the BE).
 func TestBurstMatchesScalarOffloaded(t *testing.T) {
 	for seed := int64(10); seed <= 15; seed++ {
 		rng := sim.NewRand(seed)
 		batches := genBurstBatches(rng, 40)
-		scalar := runBurstScenario(t, batches, false, true, 0)
-		burst := runBurstScenario(t, batches, true, true, 0)
+		scalar := runBurstScenario(t, batches, false, true)
+		burst := runBurstScenario(t, batches, true, true)
 		diffOutcomes(t, fmt.Sprintf("offload/seed%d", seed), scalar, burst)
 		if scalar.deliv == 0 {
 			t.Fatalf("offload/seed%d: no traffic delivered — scenario proves nothing", seed)
@@ -349,5 +346,42 @@ func TestBurstSingletonFallsBackToScalar(t *testing.T) {
 	w.A.FromVMBurst(ps)
 	if got := w.A.Stats.Drops[DropCrashed]; got != 4 {
 		t.Fatalf("crashed burst: DropCrashed = %d, want 4", got)
+	}
+}
+
+// TestSingletonRoundTripAllocs pins the per-packet entry points to the
+// closure-free pipeline: on an established flow, a FromVM at A, its
+// fabric hop, and HandleUnderlay delivering at B allocate at most one
+// object per packet in steady state.
+func TestSingletonRoundTripAllocs(t *testing.T) {
+	w := newWorld(t, 0, nil)
+	w.installLocal(t, false)
+	delivered := 0
+	w.B.SetDelivery(func(vnic uint32, p *packet.Packet, lat sim.Time) {
+		delivered++
+		p.Release()
+	})
+	var id uint64
+	roundTrip := func(flags packet.TCPFlags) {
+		id++
+		p := packet.Get(id, vpcID, clientVNIC, tuple(7000), packet.DirTX, flags, 100)
+		p.SentAt = int64(w.loop.Now())
+		w.A.FromVM(p)
+		w.loop.RunAll()
+	}
+	// Warm-up also cycles the calendar scheduler's slot ring once, so
+	// the measurement sees no first-use bucket growth.
+	roundTrip(packet.FlagSYN)
+	for i := 0; i < 1000; i++ {
+		roundTrip(packet.FlagACK)
+	}
+	const runs = 200
+	before := delivered
+	allocs := testing.AllocsPerRun(runs, func() { roundTrip(packet.FlagACK) })
+	if got := delivered - before; got != runs+1 { // AllocsPerRun adds one warm-up call
+		t.Fatalf("delivered %d packets over %d round trips; the flow is not established", got, runs+1)
+	}
+	if allocs > 1 {
+		t.Fatalf("FromVM→HandleUnderlay round trip allocates %.1f objects per packet, want ≤ 1", allocs)
 	}
 }

@@ -12,38 +12,16 @@ import (
 
 // FromVM injects a TX packet from a local VM into the vSwitch, which
 // takes ownership: the packet terminates in a drop (released), a
-// delivery (the delivery callback owns it), or a fabric send.
+// delivery (the delivery callback owns it), or a fabric send. It runs
+// the same pipeline as FromVMBurst, as a burst of one.
 func (vs *VSwitch) FromVM(p *packet.Packet) {
 	p.CheckLive()
-	vs.Stats.FromVM++
-	if vs.ob != nil {
-		vs.hop(p, "ingress-vm")
-	}
-	if vs.crashed {
-		vs.drop(p, DropCrashed)
-		return
-	}
-	vn, ok := vs.vnics[p.VNIC]
-	if !ok {
-		vs.drop(p, DropNoRules)
-		return
-	}
-	if !vs.rateAdmit(vn, p) {
-		return
-	}
-	if vn.offloaded && len(vn.fes) > 0 {
-		vs.beTX(vn, p)
-		return
-	}
-	if vn.rules != nil {
-		vs.localTX(vn, p)
-		return
-	}
-	vs.drop(p, DropNoRules)
+	vs.fromVMRun([]*packet.Packet{p})
 }
 
 // HandleUnderlay receives a packet from the fabric and takes
-// ownership, like FromVM.
+// ownership, like FromVM. Datapath traffic runs its pipeline as a
+// burst of one.
 func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
 	p.CheckLive()
 	vs.Stats.FromNet++
@@ -73,11 +51,12 @@ func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
 		return
 	}
 
+	one := []*packet.Packet{p}
 	if p.Nezha != nil {
 		switch p.Nezha.Type {
 		case packet.NezhaCarryState: // TX packet arriving at an FE
 			if fe, ok := vs.fes[p.Nezha.VNIC]; ok {
-				vs.feTX(fe, p)
+				vs.runPipeline(pipeFeTX, nil, fe, one)
 				return
 			}
 			// FE instance withdrawn (scale-in raced with in-flight
@@ -86,14 +65,14 @@ func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
 			return
 		case packet.NezhaCarryPreActions: // RX packet arriving at the BE
 			if vn, ok := vs.vnics[p.Nezha.VNIC]; ok {
-				vs.beRX(vn, p)
+				vs.runPipeline(pipeBeRX, vn, nil, one)
 				return
 			}
 			vs.drop(p, DropNoRoute)
 			return
 		case packet.NezhaNotify:
 			if vn, ok := vs.vnics[p.Nezha.VNIC]; ok {
-				vs.beNotify(vn, p)
+				vs.runPipeline(pipeNotify, vn, nil, one)
 				return
 			}
 			vs.drop(p, DropNoRoute)
@@ -104,12 +83,12 @@ func (vs *VSwitch) HandleUnderlay(p *packet.Packet) {
 	// Plain overlay packet: RX traffic for a vNIC fronted or resident
 	// here.
 	if fe, ok := vs.fes[p.VNIC]; ok {
-		vs.feRX(fe, p)
+		vs.runPipeline(pipeFeRX, nil, fe, one)
 		return
 	}
 	if vn, ok := vs.vnics[p.VNIC]; ok {
 		if vn.rules != nil {
-			vs.localRX(vn, p) // monolithic, incl. dual-running stage
+			vs.runPipeline(pipeLocalRX, vn, nil, one) // monolithic, incl. dual-running stage
 			return
 		}
 		// Final offload stage: rules are gone, packet came from a
@@ -134,68 +113,19 @@ func perByteCycles(p *packet.Packet) uint64 {
 	return uint64(p.SizeBytes) * nic.PerByteCycles
 }
 
-// submit charges cycles on the CPU; egress runs when the work
-// completes, or the packet is dropped as overload.
-func (vs *VSwitch) submit(p *packet.Packet, cycles uint64, egress func()) {
-	vs.cyclesLocal += cycles
-	vs.inFlightCPU++
-	vs.cpu.Submit(cycles, func(ok bool, d sim.Time) {
-		vs.inFlightCPU--
-		if !ok {
-			vs.drop(p, DropOverload)
-			return
-		}
-		if vs.ob != nil {
-			vs.hopCPU(p, cycles, d)
-		}
-		egress()
-	})
-}
-
-// submitRemote is submit for hosted-FE work (attribution differs).
-func (vs *VSwitch) submitRemote(p *packet.Packet, cycles uint64, egress func()) {
-	vs.cyclesRemote += cycles
-	vs.inFlightCPU++
-	vs.cpu.Submit(cycles, func(ok bool, d sim.Time) {
-		vs.inFlightCPU--
-		if !ok {
-			vs.drop(p, DropOverload)
-			return
-		}
-		if vs.ob != nil {
-			vs.hopCPU(p, cycles, d)
-		}
-		egress()
-	})
-}
-
 // lookupOrSlowPath resolves the session entry and pre-actions for a
 // packet against a rule set, running the slow path on a miss or when
-// the cached pre-actions are stale.
+// the cached pre-actions are stale. key and hash are the packet's
+// session key and its hash, computed once per packet by the pipeline.
 //
 // needEntry distinguishes the two users: a monolithic/BE caller must
 // have an entry to hold state, so memory exhaustion drops the packet
 // (dropped=true, the #concurrent-flows overload); an FE caller
 // (needEntry=false) is stateless and simply processes the packet from
 // the slow-path result without caching when memory is tight.
-func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
-	key, hash, _ := p.SessionKeyHashed()
-	return vs.lookupOrSlowPathH(rules, p, key, hash, nil, cycles, needEntry, vp, dir)
-}
-
-// lookupOrSlowPathH is lookupOrSlowPath with the session key and its
-// hash precomputed — the burst pipelines hash each packet once up
-// front (RSS worker placement and every table probe share it).
-func (vs *VSwitch) lookupOrSlowPathH(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, hint *flowcache.Entry, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
+func (vs *VSwitch) lookupOrSlowPath(rules *tables.RuleSet, p *packet.Packet, key packet.SessionKey, hash uint64, cycles *uint64, needEntry bool, vp *prof.VNICProf, dir prof.Dir) (e *flowcache.Entry, pre tables.PreActions, dropped bool) {
 	now := int64(vs.loop.Now())
-	if hint != nil {
-		// The burst eligibility probe already found the entry; record
-		// the hit (counter + LastSeen) without probing again.
-		vs.sessions.Hit(hint, now)
-		e = hint
-	} else {
-		e = vs.sessions.LookupH(key, hash, now)
-	}
+	e = vs.sessions.LookupH(key, hash, now)
 	if e != nil && e.HasPre && e.PreVersion == rules.Version() {
 		vs.Stats.FastPath++
 		p.Path = packet.PathFast
@@ -278,20 +208,55 @@ func (vs *VSwitch) applyNAT(rules *tables.RuleSet, preTX tables.PreAction, p *pa
 	}
 }
 
-// --- Monolithic datapath ---------------------------------------------
+// --- Plan stages ------------------------------------------------------
+//
+// One plan function per pipeline (Fig 5). Each runs a packet's
+// pre-CPU work at arrival — lookup, state, admission — and records the
+// egress as a burstAct, which runs when the CPU completes the packet.
+// A false return means the packet was consumed at plan time (dropped
+// or rate-limited).
 
-func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
+// The pipelines, for plan dispatch.
+const (
+	pipeLocalTX uint8 = iota // monolithic TX
+	pipeLocalRX              // monolithic RX, incl. the dual-running stage
+	pipeBeTX                 // BE TX: relay to an FE with the state carried
+	pipeBeRX                 // BE RX: final action with carried pre-actions
+	pipeNotify               // BE: absorb an FE's state notify
+	pipeFeTX                 // FE TX: lookup and final action on carried state
+	pipeFeRX                 // FE RX: lookup, relay to the BE with pre-actions
+)
+
+func (vs *VSwitch) planPacket(pipe uint8, vn *vnicState, fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	switch pipe {
+	case pipeLocalTX:
+		return vs.planLocalTX(vn, vp, p, key, hash, a)
+	case pipeLocalRX:
+		return vs.planLocalRX(vn, vp, p, key, hash, a)
+	case pipeBeTX:
+		return vs.planBeTX(vn, vp, p, key, hash, a)
+	case pipeBeRX:
+		return vs.planBeRX(vn, vp, p, key, hash, a)
+	case pipeNotify:
+		return vs.planNotify(vn, vp, p, key, hash, a)
+	case pipeFeTX:
+		return vs.planFeTX(fe, vp, p, key, hash, a)
+	default:
+		return vs.planFeRX(fe, vp, p, key, hash, a)
+	}
+}
+
+func (vs *VSwitch) planLocalTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if vs.ob != nil {
 		vs.hop(p, "local-tx")
 	}
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, &cycles, true, vp, prof.DirTX)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirTX)
 	vn.cycles += cycles
 	if dropped {
-		return
+		return false
 	}
 	// Install the rule-table-involved state (stats policy) locally —
 	// trivial in the monolithic case, the whole point of notify
@@ -303,14 +268,12 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 	}
 	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := e.State
-
 	if !FinalAllow(pre, st, packet.DirTX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
-
 	if !vs.qosAdmit(vn.id, pre.TX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirTX)
 	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
@@ -325,57 +288,23 @@ func (vs *VSwitch) localTX(vn *vnicState, p *packet.Packet) {
 			peer, nextHop = dp, dnh
 		}
 	}
-	vs.forwardOverlay(p, peer, nextHop, cycles, vp)
+	return vs.planForward(p, peer, nextHop, cycles, vp, a)
 }
 
-// forwardOverlay resolves the peer's current location and sends the
-// packet, after charging cycles.
-func (vs *VSwitch) forwardOverlay(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf) {
-	vs.forwardOverlayVia(p, peer, staticHop, cycles, vs.submit, vp)
-}
-
-func (vs *VSwitch) forwardOverlayVia(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, submit func(*packet.Packet, uint64, func()), vp *prof.VNICProf) {
-	if peer == 0 && staticHop == 0 {
-		submit(p, cycles, func() { vs.drop(p, DropNoRoute) })
-		return
-	}
-	addr, ok := vs.learner.Pick(peer, p.TupleHash())
-	if !ok {
-		addr = staticHop
-	}
-	if addr == 0 {
-		submit(p, cycles, func() { vs.drop(p, DropNoRoute) })
-		return
-	}
-	if vs.ob != nil {
-		vs.hopPick(p, addr)
-	}
-	cycles += nic.EncapCycles
-	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
-	submit(p, cycles, func() {
-		p.VNIC = peer
-		p.Dir = packet.DirRX
-		p.Encap(vs.cfg.Addr, addr)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, addr, p)
-	})
-}
-
-func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
+func (vs *VSwitch) planLocalRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
 	if !vs.rateAdmit(vn, p) {
-		return
+		return false
 	}
 	if vs.ob != nil {
 		vs.hop(p, "local-rx")
 	}
-	vp := vs.profVNIC(vn)
 	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
 	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
 	cycles := perByteCycles(p) + nic.FastPathCycles + nic.ProcessPktCycles
-	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, &cycles, true, vp, prof.DirRX)
+	e, pre, dropped := vs.lookupOrSlowPath(vn.rules, p, key, hash, &cycles, true, vp, prof.DirRX)
 	vn.cycles += cycles
 	if dropped {
-		return
+		return false
 	}
 	if e.State.Policy != pre.RX.Stats {
 		st := e.State
@@ -389,16 +318,217 @@ func (vs *VSwitch) localRX(vn *vnicState, p *packet.Packet) {
 	}
 	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, int64(vs.loop.Now()))
 	st := e.State
-
 	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
-		return
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
 	}
 	if !vs.qosAdmit(vn.id, pre.RX, p) {
-		return
+		return false
 	}
 	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(p, cycles, func() { vs.deliverToVM(p.VNIC, p) })
+	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: p.VNIC}
+	return true
+}
+
+// planBeTX relays a TX packet to an FE, carrying the locally held
+// state in the packet header (red flow of Fig 5).
+func (vs *VSwitch) planBeTX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	now := int64(vs.loop.Now())
+	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
+	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles)
+	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
+	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
+	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
+	vn.cycles += cycles
+	e, err := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
+	if err != nil {
+		vs.drop(p, DropNoMemory)
+		return false
+	}
+	// Initialize/update state locally: first packet direction, FSM.
+	// If the FE later denies the flow, this state ages out quickly
+	// via the short SYN aging (§5.1, §7.3).
+	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, now)
+	fe := vn.fes[p.TupleHash()%uint64(len(vn.fes))]
+	if vn.pinned != nil {
+		if dedicated, ok := vn.pinned[key]; ok {
+			fe = dedicated
+		}
+	}
+	vs.attachStateView(p, vn.id, packet.DirTX, e.State)
+	if vs.ob != nil {
+		vs.hopEncap(p, "be-tx", p.Nezha.WireSize())
+	}
+	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe}
+	return true
+}
+
+// planBeRX finishes an RX packet the FE forwarded with pre-actions in
+// the header (blue flow of Fig 5).
+func (vs *VSwitch) planBeRX(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	if !vs.rateAdmit(vn, p) {
+		return false
+	}
+	// The FE already ran the lookup for this packet; its terminal
+	// latency is accounted to the offloaded path, overriding the
+	// fast/slow tag the FE's own lookup left behind.
+	p.Path = packet.PathOffloaded
+	if vs.ob != nil {
+		vs.hop(p, "be-rx")
+	}
+	now := int64(vs.loop.Now())
+	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
+	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
+	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
+	pre, err := nezhaPre(p.Nezha)
+	if err != nil {
+		vs.drop(p, DropMalformed)
+		return false
+	}
+	vn.cycles += cycles
+	e, err := vs.sessions.GetOrCreateH(key, hash, vn.id, now)
+	if err != nil {
+		vs.drop(p, DropNoMemory)
+		return false
+	}
+	// Rule-table-involved state arrives in-band with RX packets
+	// (§3.2.2): install the stats policy the FE looked up without
+	// verifying the old value.
+	if e.State.Policy != pre.RX.Stats {
+		st := e.State
+		st.Policy = pre.RX.Stats
+		_ = vs.sessions.SetState(e, st)
+	}
+	// Rule-table-not-involved state: stateful decap needs the
+	// original outer source the FE preserved in the header.
+	if vn.decap && !e.State.Init && p.Nezha.OrigOuterSrc != 0 {
+		st := e.State
+		st.DecapIP = p.Nezha.OrigOuterSrc
+		_ = vs.sessions.SetState(e, st)
+	}
+	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, now)
+	st := e.State
+	if !FinalAllow(pre, st, packet.DirRX) {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
+	}
+	if !vs.qosAdmit(vn.id, pre.RX, p) {
+		return false
+	}
+	vs.maybeMirror(p, pre, packet.DirRX)
+	*a = burstAct{p: p, cycles: cycles, kind: actDeliver, vnic: vn.id, strip: true}
+	return true
+}
+
+// planNotify absorbs a designated notify packet updating rule-table-
+// involved state (§3.2.2 TX workflow); the update lands at CPU
+// completion.
+func (vs *VSwitch) planNotify(vn *vnicState, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	vs.Stats.NotifyRecv++
+	carried, err := nezhaState(p.Nezha)
+	if err != nil {
+		vs.drop(p, DropMalformed)
+		return false
+	}
+	if _, err := vs.sessions.GetOrCreateH(key, hash, vn.id, int64(vs.loop.Now())); err != nil {
+		vs.drop(p, DropNoMemory)
+		return false
+	}
+	profCharge(vp, prof.DirRX, prof.StageNotify, nic.NotifyCycles)
+	*a = burstAct{p: p, cycles: nic.NotifyCycles, kind: actNotify, policy: carried.Policy}
+	return true
+}
+
+// planFeTX processes a TX packet at the frontend: cached-flow / rule
+// lookup for pre-actions, final action against the carried state,
+// then forwarding toward the peer.
+func (vs *VSwitch) planFeTX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	if vs.ob != nil {
+		vs.hop(p, "fe-tx")
+	}
+	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
+	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
+	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
+	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
+	carried, err := nezhaState(p.Nezha)
+	if err != nil {
+		vs.drop(p, DropMalformed)
+		return false
+	}
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirTX)
+
+	// Rule-table-involved state for TX flows: notify the BE when the
+	// freshly looked-up policy differs from what the packet carried
+	// (§3.2.2 — notify packets are rare because they fire only on
+	// this mismatch).
+	if pre.TX.Stats != carried.Policy {
+		vs.sendNotify(fe, p, pre.TX.Stats)
+		cycles += nic.NotifyCycles
+		profCharge(vp, prof.DirTX, prof.StageNotify, nic.NotifyCycles)
+	}
+	if !FinalAllow(pre, carried, packet.DirTX) {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropACL}
+		return true
+	}
+	if !vs.qosAdmit(fe.vnic, pre.TX, p) {
+		return false
+	}
+	vs.maybeMirror(p, pre, packet.DirTX)
+	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
+	vs.applyNAT(fe.rules, pre.TX, p, &peer, &nextHop, &cycles, vp)
+	if carried.DecapIP != 0 {
+		dp, dnh, c := fe.rules.ResolvePeer(carried.DecapIP)
+		cycles += c
+		profCharge(vp, prof.DirTX, prof.StageSlowpath, c)
+		if dp != 0 {
+			peer, nextHop = dp, dnh
+		}
+	}
+	vs.stripNezha(p)
+	return vs.planForward(p, peer, nextHop, cycles, vp, a)
+}
+
+// planFeRX processes an RX packet at the frontend: pre-action lookup,
+// then a relay to the BE with the pre-actions (and the original outer
+// source, for stateful decap) in the header.
+func (vs *VSwitch) planFeRX(fe *feInstance, vp *prof.VNICProf, p *packet.Packet, key packet.SessionKey, hash uint64, a *burstAct) bool {
+	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
+	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles)
+	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
+	profCharge(vp, prof.DirRX, prof.StageEncap, nic.EncapCycles)
+	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
+	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, key, hash, &cycles, false, vp, prof.DirRX)
+	vs.attachPreView(p, fe.vnic, pre, p.OuterSrc)
+	if vs.ob != nil {
+		vs.hopEncap(p, "fe-rx", p.Nezha.WireSize())
+	}
+	*a = burstAct{p: p, cycles: cycles, kind: actRelay, to: fe.beAddr}
+	return true
+}
+
+// planForward resolves the peer's current location now and records
+// the forward (or the no-route drop) for execution at CPU completion.
+func (vs *VSwitch) planForward(p *packet.Packet, peer uint32, staticHop packet.IPv4, cycles uint64, vp *prof.VNICProf, a *burstAct) bool {
+	if peer == 0 && staticHop == 0 {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		return true
+	}
+	addr, ok := vs.learner.Pick(peer, p.TupleHash())
+	if !ok {
+		addr = staticHop
+	}
+	if addr == 0 {
+		*a = burstAct{p: p, cycles: cycles, kind: actDropNoRoute}
+		return true
+	}
+	if vs.ob != nil {
+		vs.hopPick(p, addr)
+	}
+	cycles += nic.EncapCycles
+	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
+	*a = burstAct{p: p, cycles: cycles, kind: actForward, to: addr, peer: peer}
+	return true
 }
 
 func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
@@ -421,200 +551,6 @@ func (vs *VSwitch) deliverToVM(vnic uint32, p *packet.Packet) {
 	}
 }
 
-// --- BE datapath ------------------------------------------------------
-
-// beTX relays a TX packet to an FE, carrying the locally held state in
-// the packet header (red flow of Fig 5).
-func (vs *VSwitch) beTX(vn *vnicState, p *packet.Packet) {
-	now := int64(vs.loop.Now())
-	vp := vs.profVNIC(vn)
-	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles)
-	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
-	profCharge(vp, prof.DirTX, prof.StageEncap, nic.EncapCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	key, _ := p.SessionKey()
-	vn.cycles += cycles
-	e, err := vs.sessions.GetOrCreate(key, vn.id, now)
-	if err != nil {
-		vs.drop(p, DropNoMemory)
-		return
-	}
-	// Initialize/update state locally: first packet direction, FSM.
-	// If the FE later denies the flow, this state ages out quickly
-	// via the short SYN aging (§5.1, §7.3).
-	_ = vs.sessions.TouchState(e, packet.DirTX, p.Flags, p.PayloadLen, now)
-
-	fe := vn.fes[p.TupleHash()%uint64(len(vn.fes))]
-	if vn.pinned != nil {
-		if key, _ := p.SessionKey(); true {
-			if dedicated, ok := vn.pinned[key]; ok {
-				fe = dedicated
-			}
-		}
-	}
-	p.AttachNezha(&packet.NezhaHeader{
-		Type:      packet.NezhaCarryState,
-		VNIC:      vn.id,
-		Dir:       packet.DirTX,
-		StateBlob: e.State.Encode(),
-	})
-	if vs.ob != nil {
-		vs.hopEncap(p, "be-tx", p.Nezha.WireSize())
-	}
-	vs.submit(p, cycles, func() {
-		p.Encap(vs.cfg.Addr, fe)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, fe, p)
-	})
-}
-
-// beRX finishes processing an RX packet the FE forwarded with
-// pre-actions in the header (blue flow of Fig 5).
-func (vs *VSwitch) beRX(vn *vnicState, p *packet.Packet) {
-	if !vs.rateAdmit(vn, p) {
-		return
-	}
-	// The FE already ran the lookup for this packet; its terminal
-	// latency is accounted to the offloaded path, overriding the
-	// fast/slow tag the FE's own lookup left behind.
-	p.Path = packet.PathOffloaded
-	if vs.ob != nil {
-		vs.hop(p, "be-rx")
-	}
-	now := int64(vs.loop.Now())
-	vp := vs.profVNIC(vn)
-	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
-	pre, err := nezhaPre(p.Nezha)
-	if err != nil {
-		vs.drop(p, DropMalformed)
-		return
-	}
-	key, _ := p.SessionKey()
-	vn.cycles += cycles
-	e, cerr := vs.sessions.GetOrCreate(key, vn.id, now)
-	if cerr != nil {
-		vs.drop(p, DropNoMemory)
-		return
-	}
-	// Rule-table-involved state arrives in-band with RX packets
-	// (§3.2.2): install the stats policy the FE looked up without
-	// verifying the old value.
-	if e.State.Policy != pre.RX.Stats {
-		st := e.State
-		st.Policy = pre.RX.Stats
-		_ = vs.sessions.SetState(e, st)
-	}
-	// Rule-table-not-involved state: stateful decap needs the
-	// original outer source the FE preserved in the header.
-	if vn.decap && !e.State.Init && p.Nezha.OrigOuterSrc != 0 {
-		st := e.State
-		st.DecapIP = p.Nezha.OrigOuterSrc
-		_ = vs.sessions.SetState(e, st)
-	}
-	_ = vs.sessions.TouchState(e, packet.DirRX, p.Flags, p.PayloadLen, now)
-	st := e.State
-
-	if !FinalAllow(pre, st, packet.DirRX) {
-		vs.submit(p, cycles, func() { vs.drop(p, DropACL) })
-		return
-	}
-	if !vs.qosAdmit(vn.id, pre.RX, p) {
-		return
-	}
-	vs.maybeMirror(p, pre, packet.DirRX)
-	vs.submit(p, cycles, func() {
-		vs.stripNezha(p)
-		vs.deliverToVM(vn.id, p)
-	})
-}
-
-// beNotify absorbs a designated notify packet updating rule-table-
-// involved state (§3.2.2 TX workflow).
-func (vs *VSwitch) beNotify(vn *vnicState, p *packet.Packet) {
-	vs.Stats.NotifyRecv++
-	now := int64(vs.loop.Now())
-	carried, err := nezhaState(p.Nezha)
-	if err != nil {
-		vs.drop(p, DropMalformed)
-		return
-	}
-	key, _ := p.SessionKey()
-	if _, cerr := vs.sessions.GetOrCreate(key, vn.id, now); cerr != nil {
-		vs.drop(p, DropNoMemory)
-		return
-	}
-	profCharge(vs.profVNIC(vn), prof.DirRX, prof.StageNotify, nic.NotifyCycles)
-	vs.submit(p, nic.NotifyCycles, func() {
-		vs.Stats.Absorbed++
-		p.Release()
-		cur := vs.sessions.Peek(key)
-		if cur == nil {
-			return
-		}
-		st := cur.State
-		st.Policy = carried.Policy
-		_ = vs.sessions.SetState(cur, st)
-	})
-}
-
-// --- FE datapath ------------------------------------------------------
-
-// feTX processes a TX packet at the frontend: cached-flow / rule
-// lookup for pre-actions, final action against the carried state,
-// then forwarding toward the peer.
-func (vs *VSwitch) feTX(fe *feInstance, p *packet.Packet) {
-	if vs.ob != nil {
-		vs.hop(p, "fe-tx")
-	}
-	vp := vs.profFE(fe)
-	profCharge(vp, prof.DirTX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirTX, prof.StageFastpath, nic.FastPathCycles+nic.ProcessPktCycles)
-	profCharge(vp, prof.DirTX, prof.StageStateCarry, nic.StateCarryCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.ProcessPktCycles
-	carried, err := nezhaState(p.Nezha)
-	if err != nil {
-		vs.drop(p, DropMalformed)
-		return
-	}
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, &cycles, false, vp, prof.DirTX)
-
-	// Rule-table-involved state for TX flows: notify the BE when the
-	// freshly looked-up policy differs from what the packet carried
-	// (§3.2.2 — notify packets are rare because they fire only on
-	// this mismatch).
-	if pre.TX.Stats != carried.Policy {
-		vs.sendNotify(fe, p, pre.TX.Stats)
-		cycles += nic.NotifyCycles
-		profCharge(vp, prof.DirTX, prof.StageNotify, nic.NotifyCycles)
-	}
-
-	if !FinalAllow(pre, carried, packet.DirTX) {
-		vs.submitRemote(p, cycles, func() { vs.drop(p, DropACL) })
-		return
-	}
-
-	if !vs.qosAdmit(fe.vnic, pre.TX, p) {
-		return
-	}
-	vs.maybeMirror(p, pre, packet.DirTX)
-	peer, nextHop := pre.TX.PeerVNIC, pre.TX.NextHop
-	vs.applyNAT(fe.rules, pre.TX, p, &peer, &nextHop, &cycles, vp)
-	if carried.DecapIP != 0 {
-		dp, dnh, c := fe.rules.ResolvePeer(carried.DecapIP)
-		cycles += c
-		profCharge(vp, prof.DirTX, prof.StageSlowpath, c)
-		if dp != 0 {
-			peer, nextHop = dp, dnh
-		}
-	}
-	vs.stripNezha(p)
-	vs.forwardOverlayVia(p, peer, nextHop, cycles, vs.submitRemote, vp)
-}
-
 // sendNotify emits a designated notify packet to the BE carrying the
 // rule-table-derived state.
 func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables.StatsPolicy) {
@@ -631,37 +567,4 @@ func (vs *VSwitch) sendNotify(fe *feInstance, orig *packet.Packet, policy tables
 	})
 	n.Encap(vs.cfg.Addr, fe.beAddr)
 	vs.fab.Send(vs.cfg.Addr, fe.beAddr, n)
-}
-
-// feRX processes an RX packet at the frontend: pre-action lookup,
-// then forward to the BE with the pre-actions (and the information
-// needed for state initialization) in the header.
-func (vs *VSwitch) feRX(fe *feInstance, p *packet.Packet) {
-	vp := vs.profFE(fe)
-	profCharge(vp, prof.DirRX, prof.StagePerByte, perByteCycles(p))
-	profCharge(vp, prof.DirRX, prof.StageFastpath, nic.FastPathCycles)
-	profCharge(vp, prof.DirRX, prof.StageStateCarry, nic.StateCarryCycles)
-	profCharge(vp, prof.DirRX, prof.StageEncap, nic.EncapCycles)
-	cycles := perByteCycles(p) + nic.FastPathCycles + nic.StateCarryCycles + nic.EncapCycles
-	_, pre, _ := vs.lookupOrSlowPath(fe.rules, p, &cycles, false, vp, prof.DirRX)
-
-	orig := p.OuterSrc
-	p.AttachNezha(&packet.NezhaHeader{
-		Type:          packet.NezhaCarryPreActions,
-		VNIC:          fe.vnic,
-		Dir:           packet.DirRX,
-		PreActionBlob: pre.Encode(),
-		OrigOuterSrc:  orig,
-	})
-	if vs.ob != nil {
-		vs.hopEncap(p, "fe-rx", p.Nezha.WireSize())
-	}
-	beAddr := fe.beAddr
-	vs.submitRemote(p, cycles, func() {
-		// The FE replaces the outer source with its own (§3.2.2) —
-		// the original is preserved in the Nezha header.
-		p.Encap(vs.cfg.Addr, beAddr)
-		vs.Stats.Sent++
-		vs.fab.Send(vs.cfg.Addr, beAddr, p)
-	})
 }

@@ -3,11 +3,10 @@ package vswitch
 // Attribution-profiler wiring (DESIGN.md §11). With profiling off
 // (vs.prof == nil) the datapath pays a nil check per charge site;
 // with it on, each charge is one uint64 array add on a slot pointer
-// cached at vNIC/FE install time — no maps and no allocations, so
-// the burst pipeline's wins survive. Scalar and burst paths charge
-// through the same helpers at the same code points, which is what
-// makes the burst-vs-scalar attribution differential hold by
-// construction.
+// cached at vNIC/FE install time — no maps and no allocations. Runs
+// of one and batched runs charge through the same plan stages, which
+// is what makes the singleton-vs-batched attribution differential
+// hold by construction.
 
 import (
 	"nezha/internal/flowcache"

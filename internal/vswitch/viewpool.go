@@ -10,7 +10,7 @@ package vswitch
 // read the value directly; anything else (a blob from a wire-mode hop,
 // a foreign view) falls back to Decode.
 //
-// Lifecycle: the attach sites (burst beTX/feRX plans) take a box from
+// Lifecycle: the attach sites (planBeTX/planFeRX) take a box from
 // the per-vSwitch freelist; the consuming vSwitch recycles it via
 // stripNezha — boxes migrate between pools, which is fine inside one
 // single-threaded sim world. Packets that terminate with the header

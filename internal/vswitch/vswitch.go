@@ -113,11 +113,6 @@ type Config struct {
 	MaxQueueDelay sim.Time
 	// VariableState stores session states at encoded size (§7.1).
 	VariableState bool
-	// Workers splits the burst datapath's plan stage into N per-core
-	// run-to-completion workers: an RSS hash over the normalized session
-	// key pins each flow to one worker (see worker.go). 0 or 1 keeps the
-	// single sequential pipeline. Digests are identical at every count.
-	Workers int
 }
 
 // Counters exposes the vSwitch's datapath statistics.
@@ -290,26 +285,20 @@ type VSwitch struct {
 	// the SLO layer is off and the datapath pays nothing.
 	slo *slo.Tracker
 
-	// Burst-pipeline scratch (see burst.go). The sim loop is
-	// single-threaded, so one set per vSwitch suffices: burstCosts is
-	// consumed synchronously by SubmitBurst, pend accumulates egress
-	// within one completion wave, admitBuf/sendBuf live only within
-	// one call.
+	// Pipeline scratch (see burst.go). The sim loop is single-threaded,
+	// so one set per vSwitch suffices: burstCosts is consumed
+	// synchronously by SubmitBurstTo, pend accumulates egress within one
+	// completion wave, admitBuf/sendBuf live only within one call.
 	burstCosts []uint64
 	pend       []pendSend
 	admitBuf   []*packet.Packet
 	sendBuf    []*packet.Packet
 
-	// Run-to-completion worker state (worker.go): the RSS plan scratch,
-	// the pooled act buffers (owned by completion closures until a
-	// burst's last completion fires), and the per-worker CPU account
-	// (nil unless cfg.Workers > 1).
-	wk       workerScratch
+	// runFree pools run sinks (burstRun in burst.go); actsFree pools the
+	// act buffers of multi-packet runs, each owned by its run until the
+	// run's last completion fires.
+	runFree  *burstRun
 	actsFree [][]burstAct
-	workers  *nic.WorkerAccount
-
-	// runFree pools burst-submission sinks (burstRun in burst.go).
-	runFree *burstRun
 
 	// boxFree pools zero-copy header-view boxes (viewpool.go).
 	boxFree *viewBox
@@ -342,17 +331,14 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 		fes:     make(map[uint32]*feInstance),
 	}
 	vs.qosBuckets = make(map[uint64]*tokenBucket)
-	if cfg.Workers > 1 {
-		vs.workers = nic.NewWorkerAccount(cfg.Workers)
-	}
 	vs.sessions = flowcache.New(flowcache.Config{
 		MaxBytes:      cfg.NetMemBytes,
 		VariableState: cfg.VariableState,
 	})
 	vs.refreshSessionBudget()
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)
-	// Coalesced deliveries (from peers using SendBurst) enter through
-	// the burst pipeline; per-packet sends still use HandleUnderlay.
+	// Coalesced deliveries (from peers using SendBurst) enter as runs;
+	// per-packet sends (probes, notifies, mirrors) use HandleUnderlay.
 	_ = fab.SetBurstHandler(cfg.Addr, vs.HandleUnderlayBurst)
 	return vs
 }
@@ -374,10 +360,6 @@ func (vs *VSwitch) CyclesRemote() uint64 { return vs.cyclesRemote }
 
 // Sessions exposes the session table (read-mostly, for experiments).
 func (vs *VSwitch) Sessions() *flowcache.Table { return vs.sessions }
-
-// Workers exposes the per-worker CPU account (nil unless the vSwitch
-// was configured with more than one run-to-completion worker).
-func (vs *VSwitch) Workers() *nic.WorkerAccount { return vs.workers }
 
 // EnableSLO attaches the latency/hot-flow SLO tracker: the terminal
 // points (deliverToVM, drop) then record end-to-end latency,
