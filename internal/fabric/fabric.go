@@ -48,9 +48,9 @@ type FaultVerdict struct {
 	Jitter sim.Time
 }
 
-// FaultInjector is consulted once per Send after the reachability
-// checks. It must be deterministic given the simulation state (seed
-// its randomness from sim.Rand, never the wall clock).
+// FaultInjector is consulted once per sent packet after the
+// reachability checks. It must be deterministic given the simulation
+// state (seed its randomness from sim.Rand, never the wall clock).
 type FaultInjector func(from, to packet.IPv4, p *packet.Packet) FaultVerdict
 
 type node struct {
@@ -82,12 +82,12 @@ type Fabric struct {
 	// tr, when set by EnableObs, records wire hops for sampled packets.
 	tr *obs.FlightTracer
 
-	// inFlight counts packets accepted by Send whose delivery event has
-	// not yet resolved (delivered or lost).
+	// inFlight counts packets accepted for sending whose delivery event
+	// has not yet resolved (delivered or lost).
 	inFlight uint64
 
 	// groupFree recycles same-deadline delivery groups. Each group is
-	// retained by its delivery closure until the event fires, so this
+	// retained by its delivery event until the event fires, so this
 	// must be a freelist — several groups are in flight at once.
 	groupFree [][]*packet.Packet
 
@@ -103,14 +103,15 @@ type Fabric struct {
 	serMemoSize int
 	serMemoVal  sim.Time
 
-	// Sends counts every Send call. Delivered counts packets handed to
-	// node handlers; Lost counts sends to unregistered destinations,
-	// across partitions (at send or delivery time), or failing wire
-	// decode; ChaosLost counts packets the fault injector dropped. At
-	// any event boundary Sends == Delivered + Lost + ChaosLost +
-	// InFlight() — the packet-conservation ledger chaos invariants
-	// check. BytesSent totals wire bytes offered to the fabric — the
-	// §6.4 BE–FE bandwidth-overhead accounting.
+	// Sends counts every packet handed to Send or SendBurst. Delivered
+	// counts packets handed to node handlers; Lost counts packets sent
+	// to unregistered destinations, across partitions (at send or
+	// delivery time), or failing wire decode; ChaosLost counts packets
+	// the fault injector dropped. At any event boundary Sends ==
+	// Delivered + Lost + ChaosLost + InFlight() — the
+	// packet-conservation ledger chaos invariants check. BytesSent
+	// totals wire bytes offered to the fabric — the §6.4 BE–FE
+	// bandwidth-overhead accounting.
 	Sends     uint64
 	Delivered uint64
 	Lost      uint64
@@ -150,7 +151,7 @@ func (f *Fabric) SetWireMode(on bool) { f.wireMode = on }
 // model.
 func (f *Fabric) SetFaultInjector(fn FaultInjector) { f.faults = fn }
 
-// InFlight reports packets accepted by Send that have neither been
+// InFlight reports packets accepted for sending that have neither been
 // delivered nor lost yet.
 func (f *Fabric) InFlight() uint64 { return f.inFlight }
 
@@ -176,8 +177,9 @@ func (f *Fabric) SetHandler(addr packet.IPv4, h Handler) error {
 }
 
 // SetBurstHandler installs a coalesced-delivery handler for a node.
-// SendBurst hands it whole same-instant bursts; per-packet Send still
-// goes through the plain Handler.
+// Every delivery event hands it its whole same-instant group (a Send
+// arrives as a group of one); without one, the plain Handler gets the
+// group packet by packet.
 func (f *Fabric) SetBurstHandler(addr packet.IPv4, h BurstHandler) error {
 	n, ok := f.nodes[addr]
 	if !ok {
@@ -205,11 +207,15 @@ func (f *Fabric) SameToR(a, b packet.IPv4) bool {
 // Latency returns the one-way delay between two registered servers
 // for a packet of size bytes.
 func (f *Fabric) Latency(from, to packet.IPv4, size int) sim.Time {
-	prop := LatencyInterToR
+	return f.propDelay(from, to) + f.serTime(size)
+}
+
+// propDelay returns the propagation delay between two servers.
+func (f *Fabric) propDelay(from, to packet.IPv4) sim.Time {
 	if f.SameToR(from, to) {
-		prop = LatencySameToR
+		return LatencySameToR
 	}
-	return prop + f.serTime(size)
+	return LatencyInterToR
 }
 
 // serTime returns the link serialization delay for size bytes, memoized
@@ -235,101 +241,35 @@ func (f *Fabric) putGroup(g []*packet.Packet) {
 	f.groupFree = append(f.groupFree, g[:0])
 }
 
-// Send delivers p from one server to another after the link latency
-// (plus any injected jitter). Sending to an unregistered destination
-// counts as lost, as does a partition active at either end of the
-// flight: a partition raised mid-flight kills the frames already on
-// the wire. The packet's hop counter advances on delivery.
-//
-// Ownership: Send takes p, like SendBurst. A packet lost at the link,
-// dropped by the fault injector, or lost in flight is released here; a
-// delivered packet passes to the handler. In wire mode the handler
-// gets a decoded copy, and the original and its wire buffer are
-// released when the flight resolves.
+// Send delivers p from one server to another: it is SendBurst with a
+// burst of one, with the same loss, fault-injection, ownership and
+// wire-mode contract.
 func (f *Fabric) Send(from, to packet.IPv4, p *packet.Packet) {
-	p.CheckLive()
-	f.Sends++
-	dst, ok := f.nodes[to]
-	if !ok || f.partitions[pairKey(from, to)] {
-		f.Lost++
-		f.traceHop(p.ID, from, "wire-lost", to)
-		p.Release()
-		return
-	}
-	lat := f.Latency(from, to, p.SizeBytes)
-	if f.faults != nil {
-		v := f.faults(from, to, p)
-		if v.Drop {
-			if !v.SkipAccounting {
-				f.ChaosLost++
-			}
-			f.traceHop(p.ID, from, "chaos-lost", to)
-			p.Release()
-			return
-		}
-		if v.Jitter > 0 {
-			lat += v.Jitter
-		}
-	}
-	f.BytesSent += uint64(p.SizeBytes)
-	var wire []byte
-	if f.wireMode {
-		wire = p.Marshal()
-	}
-	f.inFlight++
-	f.loop.Schedule(lat, func() {
-		f.inFlight--
-		// The destination may have crashed, or the pair partitioned,
-		// while in flight.
-		cur, ok := f.nodes[to]
-		if !ok || cur != dst || cur.handler == nil || f.partitions[pairKey(from, to)] {
-			f.Lost++
-			f.traceHop(p.ID, from, "wire-lost", to)
-			packet.PutBuf(wire)
-			p.Release()
-			return
-		}
-		deliver := p
-		if wire != nil {
-			// Decode before releasing the original, so the copy never
-			// reuses the original's pooled struct.
-			q, err := packet.Unmarshal(wire)
-			packet.PutBuf(wire)
-			id := p.ID
-			p.Release()
-			if err != nil {
-				f.Lost++
-				f.traceHop(id, from, "wire-lost", to)
-				return
-			}
-			deliver = q
-		}
-		deliver.Hops++
-		f.Delivered++
-		f.traceHop(deliver.ID, from, "wire", to)
-		cur.handler(deliver)
-	})
+	one := [1]*packet.Packet{p}
+	f.SendBurst(from, to, one[:])
 }
 
-// SendBurst delivers a batch of packets from one server to another,
-// coalescing consecutive packets that land at the same instant into a
-// single delivery event. Semantics match len(ps) individual Sends —
-// same counters, same fault-injector consultation order, same delivery
-// order (one burst event delivering in slice order is FIFO-equivalent
-// to the per-packet events it replaces) — but the receiver takes one
-// event (and, with a BurstHandler, one call) per deadline instead of
-// one per packet.
+// SendBurst delivers a batch of packets from one server to another
+// after the link latency (plus any injected jitter). Sending to an
+// unregistered destination counts as lost, as does a partition active
+// at either end of the flight: a partition raised mid-flight kills the
+// frames already on the wire. Each packet's hop counter advances on
+// delivery. Consecutive packets that land at the same instant share
+// one delivery event and, with a BurstHandler, one call; delivery is
+// in slice order.
 //
 // Ownership: SendBurst takes every packet in ps. Packets lost at the
 // link, dropped by the fault injector, or lost in flight are released
 // back to the pool here; delivered packets pass ownership to the
-// handler. The caller must not touch ps or its packets afterward (the
-// slice itself is not retained).
+// handler. In wire mode the handler gets decoded copies, and each
+// original and its wire buffer are released when the flight resolves.
+// The caller must not touch ps or its packets afterward (the slice
+// itself is not retained).
 func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 	// The destination, partition state, and propagation delay cannot
 	// change mid-call: fault injectors are pure per-send draws (the
 	// FaultInjector contract) and no events run inside one burst, so
-	// Send's per-packet checks hoist to one check here.
+	// the reachability checks run once per burst.
 	if _, ok := f.nodes[to]; !ok || f.partitions[pairKey(from, to)] {
 		for _, p := range ps {
 			p.CheckLive()
@@ -340,10 +280,7 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 		}
 		return
 	}
-	prop := LatencyInterToR
-	if f.SameToR(from, to) {
-		prop = LatencySameToR
-	}
+	prop := f.propDelay(from, to)
 	group := f.getGroup()
 	var groupLat sim.Time
 	for _, p := range ps {
@@ -380,11 +317,12 @@ func (f *Fabric) SendBurst(from, to packet.IPv4, ps []*packet.Packet) {
 }
 
 // deliverBurst schedules one delivery event for a group of packets
-// sharing a deadline. Reachability is re-checked at delivery time, as
-// in Send; in wire mode each packet is marshaled now and decoded at
-// delivery, with the original released once its bytes are on the wire.
-// The group slice returns to the freelist once the event resolves —
-// the handlers take the packets, never the slice.
+// sharing a deadline. Reachability is re-checked at delivery time. In
+// wire mode each packet is marshaled now and decoded at delivery,
+// before its original is released, so a copy never reuses its
+// original's pooled struct. The group slice returns to the freelist
+// once the event resolves — the handlers take the packets, never the
+// slice.
 func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat sim.Time) {
 	dst := f.nodes[to]
 	f.inFlight += uint64(len(group))
@@ -400,58 +338,73 @@ func (f *Fabric) deliverBurst(from, to packet.IPv4, group []*packet.Packet, lat 
 		f.loop.AtTask(f.loop.Now()+lat, t)
 		return
 	}
-	// Wire mode: marshal now, decode at delivery. It is a debugging
-	// mode, so the closure-per-group cost stays acceptable.
+	// Wire mode is a debugging mode, so the closure-per-group cost
+	// stays acceptable.
 	wires := make([][]byte, len(group))
-	ids := make([]uint64, len(group))
 	for i, p := range group {
 		wires[i] = p.Marshal()
-		ids[i] = p.ID
-		p.Release()
 	}
 	f.loop.Schedule(lat, func() {
 		f.inFlight -= uint64(len(group))
-		cur, ok := f.nodes[to]
-		if !ok || cur != dst || (cur.handler == nil && cur.burst == nil) || f.partitions[pairKey(from, to)] {
-			for i := range group {
-				f.Lost++
-				f.traceHop(ids[i], from, "wire-lost", to)
+		if !f.reachable(from, to, dst) {
+			for i, p := range group {
 				packet.PutBuf(wires[i])
+				f.lose(from, to, p)
 			}
 			f.putGroup(group)
 			return
 		}
 		deliver := group[:0]
-		for i, w := range wires {
-			q, err := packet.Unmarshal(w)
-			packet.PutBuf(w)
+		for i, p := range group {
+			q, err := packet.Unmarshal(wires[i])
+			packet.PutBuf(wires[i])
 			if err != nil {
-				f.Lost++
-				f.traceHop(ids[i], from, "wire-lost", to)
+				f.lose(from, to, p)
 				continue
 			}
+			p.Release()
 			deliver = append(deliver, q)
 		}
-		for _, q := range deliver {
-			q.Hops++
-			f.Delivered++
-			f.traceHop(q.ID, from, "wire", to)
-		}
-		if cur.burst != nil {
-			cur.burst(deliver)
-		} else {
-			for _, q := range deliver {
-				cur.handler(q)
-			}
-		}
+		f.handOver(from, to, dst, deliver)
 		f.putGroup(group)
 	})
 }
 
+// reachable reports whether a flight from one server to another that
+// was sent to node dst can still land: the destination may have
+// crashed, or the pair partitioned, while in flight.
+func (f *Fabric) reachable(from, to packet.IPv4, dst *node) bool {
+	cur, ok := f.nodes[to]
+	return ok && cur == dst && (cur.handler != nil || cur.burst != nil) && !f.partitions[pairKey(from, to)]
+}
+
+// lose counts and releases a packet lost on the wire.
+func (f *Fabric) lose(from, to packet.IPv4, p *packet.Packet) {
+	f.Lost++
+	f.traceHop(p.ID, from, "wire-lost", to)
+	p.Release()
+}
+
+// handOver delivers a resolved group to its node: the burst handler
+// when there is one, else the per-packet handler in order.
+func (f *Fabric) handOver(from, to packet.IPv4, n *node, group []*packet.Packet) {
+	for _, q := range group {
+		q.Hops++
+		f.Delivered++
+		f.traceHop(q.ID, from, "wire", to)
+	}
+	if n.burst != nil {
+		n.burst(group)
+		return
+	}
+	for _, q := range group {
+		n.handler(q)
+	}
+}
+
 // deliverTask is one scheduled non-wire delivery group, pooled on the
 // fabric and scheduled via sim.Loop.AtTask so a burst's delivery event
-// allocates nothing. It re-checks reachability at delivery time
-// exactly as the closure it replaces did.
+// allocates nothing. It re-checks reachability at delivery time.
 type deliverTask struct {
 	f        *Fabric
 	from, to packet.IPv4
@@ -469,27 +422,12 @@ func (t *deliverTask) Run() {
 	t.next = f.taskFree
 	f.taskFree = t
 	f.inFlight -= uint64(len(group))
-	cur, ok := f.nodes[to]
-	if !ok || cur != dst || (cur.handler == nil && cur.burst == nil) || f.partitions[pairKey(from, to)] {
+	if !f.reachable(from, to, dst) {
 		for _, p := range group {
-			f.Lost++
-			f.traceHop(p.ID, from, "wire-lost", to)
-			p.Release()
+			f.lose(from, to, p)
 		}
-		f.putGroup(group)
-		return
-	}
-	for _, q := range group {
-		q.Hops++
-		f.Delivered++
-		f.traceHop(q.ID, from, "wire", to)
-	}
-	if cur.burst != nil {
-		cur.burst(group)
 	} else {
-		for _, q := range group {
-			cur.handler(q)
-		}
+		f.handOver(from, to, dst, group)
 	}
 	f.putGroup(group)
 }

@@ -353,6 +353,43 @@ func TestWireModeRoundtrips(t *testing.T) {
 	}
 }
 
+// TestWireModeBurstDeliversCopies: a wire-mode burst delivers decoded
+// copies, never the pooled structs of their originals. Each copy is
+// decoded before its original is released, so not even the first
+// delivery can reuse its original's struct.
+func TestWireModeBurstDeliversCopies(t *testing.T) {
+	loop := sim.NewLoop(1)
+	f := New(loop)
+	f.SetWireMode(true)
+	a, b := ip(1, 0, 0, 1), ip(1, 0, 0, 2)
+	var got []*packet.Packet
+	f.Register(a, 0, nil)
+	f.Register(b, 0, nil)
+	if err := f.SetBurstHandler(b, func(ps []*packet.Packet) { got = append(got, ps...) }); err != nil {
+		t.Fatal(err)
+	}
+	var orig []*packet.Packet
+	for id := uint64(1); id <= 3; id++ {
+		orig = append(orig, packet.Get(id, 1, 1, packet.FiveTuple{
+			SrcIP: ip(10, 0, 0, 1), DstIP: ip(10, 0, 0, 2),
+			SrcPort: 1, DstPort: 80, Proto: packet.ProtoTCP,
+		}, packet.DirTX, 0, 100))
+	}
+	f.SendBurst(a, b, append([]*packet.Packet(nil), orig...))
+	loop.RunAll()
+	if len(got) != 3 {
+		t.Fatalf("delivered %d packets, want 3", len(got))
+	}
+	for i, q := range got {
+		if q == orig[i] {
+			t.Fatalf("delivery %d reuses its original's struct", i)
+		}
+		if q.ID != uint64(i+1) || q.Hops != 1 {
+			t.Fatalf("delivery %d: id %d hops %d", i, q.ID, q.Hops)
+		}
+	}
+}
+
 // Property: any interleaving of Set/Add/Remove/Delete keeps each
 // vNIC's address list duplicate-free, and membership matches a naive
 // set model.

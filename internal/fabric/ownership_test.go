@@ -10,9 +10,9 @@ import (
 )
 
 // These tests only exist under -tags simdebug, where a double Release
-// panics. Send takes ownership of its packet: every packet it loses
-// must already be back in the pool, so the caller's stray second
-// Release trips the guard.
+// panics. Send and SendBurst take ownership of their packets: every
+// packet they lose must already be back in the pool, so the caller's
+// stray second Release trips the guard.
 
 func pooledPkt(id uint64) *packet.Packet {
 	return packet.Get(id, 1, 1, packet.FiveTuple{
@@ -35,8 +35,9 @@ func TestSendReleasesLostPackets(t *testing.T) {
 	a, b := ip(1, 0, 0, 1), ip(1, 0, 0, 2)
 	for _, tc := range []struct {
 		name  string
+		burst bool // send three packets with SendBurst instead of one with Send
 		setup func(f *Fabric)
-		after func(f *Fabric) // runs between Send and the flight resolving
+		after func(f *Fabric) // runs between the send and the flight resolving
 	}{
 		{name: "unreachable", setup: func(f *Fabric) { f.Unregister(b) }},
 		{name: "partition", setup: func(f *Fabric) { f.Partition(a, b) }},
@@ -48,6 +49,14 @@ func TestSendReleasesLostPackets(t *testing.T) {
 		{name: "in-flight", after: func(f *Fabric) { f.Unregister(b) }},
 		{name: "in-flight-wire", setup: func(f *Fabric) { f.SetWireMode(true) }, after: func(f *Fabric) { f.Partition(a, b) }},
 		{name: "delivered-wire-original", setup: func(f *Fabric) { f.SetWireMode(true) }},
+		{name: "burst-chaos-drop-one-in-three", burst: true, setup: func(f *Fabric) {
+			n := 0
+			f.SetFaultInjector(func(from, to packet.IPv4, p *packet.Packet) FaultVerdict {
+				n++
+				return FaultVerdict{Drop: n%3 == 2}
+			})
+		}},
+		{name: "burst-in-flight-wire", burst: true, setup: func(f *Fabric) { f.SetWireMode(true) }, after: func(f *Fabric) { f.Partition(a, b) }},
 	} {
 		loop := sim.NewLoop(1)
 		f := New(loop)
@@ -56,8 +65,13 @@ func TestSendReleasesLostPackets(t *testing.T) {
 		if tc.setup != nil {
 			tc.setup(f)
 		}
-		p := pooledPkt(1)
-		f.Send(a, b, p)
+		ps := []*packet.Packet{pooledPkt(1)}
+		if tc.burst {
+			ps = append(ps, pooledPkt(2), pooledPkt(3))
+			f.SendBurst(a, b, append([]*packet.Packet(nil), ps...))
+		} else {
+			f.Send(a, b, ps[0])
+		}
 		if tc.after != nil {
 			tc.after(f)
 		}
@@ -65,6 +79,8 @@ func TestSendReleasesLostPackets(t *testing.T) {
 		if f.InFlight() != 0 {
 			t.Fatalf("%s: %d packets still in flight", tc.name, f.InFlight())
 		}
-		mustDoubleRelease(t, tc.name, p)
+		for _, p := range ps {
+			mustDoubleRelease(t, tc.name, p)
+		}
 	}
 }

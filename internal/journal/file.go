@@ -25,12 +25,19 @@ const (
 	walName  = "wal.jsonl"
 )
 
-// NewFileStore opens (or creates) a journal directory.
+// NewFileStore opens (or creates) a journal directory. A wal that does
+// not end in a newline holds a torn final write — that record never
+// became durable — so the fragment is cut off before the next Append
+// can land on the same line.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, walName)
+	if err := trimTornTail(path); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -102,6 +109,21 @@ func (fs *FileStore) diskSize() int64 {
 		}
 	}
 	return n
+}
+
+// trimTornTail truncates the file at path after its last newline.
+func trimTornTail(path string) error {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	if keep := bytes.LastIndexByte(data, '\n') + 1; keep < len(data) {
+		return os.Truncate(path, int64(keep))
+	}
+	return nil
 }
 
 func readLines(path string) ([][]byte, error) {

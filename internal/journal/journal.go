@@ -227,9 +227,10 @@ func (j *Journal) Compact() error {
 	return nil
 }
 
-// Replay decodes snapshot + tail in append order. A truncated or
-// corrupt trailing line (torn write at crash time) ends the replay
-// silently; a corrupt line in the middle is an error.
+// Replay decodes snapshot + tail in append order. Any line that does
+// not decode is an error. A torn final write (crash mid-append) never
+// reaches Replay: FileStore cuts the unterminated fragment off when it
+// opens the wal, and MemStore appends whole lines.
 func (j *Journal) Replay() ([]Record, error) {
 	snap, tail, err := j.store.Load()
 	if err != nil {
@@ -237,14 +238,10 @@ func (j *Journal) Replay() ([]Record, error) {
 		return nil, err
 	}
 	all := make([]Record, 0, len(snap)+len(tail))
-	for seg, lines := range [][][]byte{snap, tail} {
+	for _, lines := range [][][]byte{snap, tail} {
 		for i, line := range lines {
 			var r Record
 			if err := json.Unmarshal(line, &r); err != nil {
-				if seg == 1 && i == len(lines)-1 {
-					// Torn tail write: the record never became durable.
-					break
-				}
 				j.Stats.Errors++
 				return nil, fmt.Errorf("journal: corrupt record %d: %w", i, err)
 			}

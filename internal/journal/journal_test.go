@@ -170,3 +170,57 @@ func TestTornTailTolerated(t *testing.T) {
 		t.Fatalf("want 2 intact records, got %d", len(got))
 	}
 }
+
+// TestAppendAfterTornTail: a record appended after reopening a wal with
+// a torn tail must survive the next reopen. Unless the reopen cuts the
+// fragment off, the append lands on the fragment's line and the record
+// is lost with it.
+func TestAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := New(fs, 1000)
+	for i := 0; i < 3; i++ {
+		if err := j.Append(placement(1, uint64(i+1), false)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.Close()
+	wal := filepath.Join(dir, "wal.jsonl")
+	data, err := os.ReadFile(wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wal, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	fs2, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2 := New(fs2, 1000)
+	if got, err := j2.Replay(); err != nil || len(got) != 2 {
+		t.Fatalf("replay after tear: %d records, err %v; want 2", len(got), err)
+	}
+	if err := j2.Append(placement(1, 4, false)); err != nil {
+		t.Fatal(err)
+	}
+	fs2.Close()
+
+	fs3, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs3.Close()
+	got, err := New(fs3, 1000).Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{placement(1, 1, false), placement(1, 2, false), placement(1, 4, false)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after append:\n got  %+v\n want %+v", got, want)
+	}
+}

@@ -7,8 +7,27 @@ import (
 	"nezha/internal/sim"
 )
 
+// funcSink adapts plain callbacks, either of which may be nil, to a
+// BurstSink.
+type funcSink struct {
+	each    func(i int, ok bool, delay sim.Time)
+	waveEnd func(members []int32)
+}
+
+func (s *funcSink) Complete(i int, ok bool, delay sim.Time) {
+	if s.each != nil {
+		s.each(i, ok, delay)
+	}
+}
+
+func (s *funcSink) WaveEnd(members []int32) {
+	if s.waveEnd != nil {
+		s.waveEnd(members)
+	}
+}
+
 // driveCPU replays a seeded program of batched submissions against a
-// CPU, using per-item Submit or SubmitBurst, and returns the exact
+// CPU, using per-item Submit or SubmitBurstTo, and returns the exact
 // observable log: admission rejections, completions (with delays), and
 // — for the burst path — wave boundaries folded in as plain entries so
 // ordering relative to completions is checked too.
@@ -34,13 +53,14 @@ func driveCPU(burst bool, seed int64, cores int) ([]string, uint64, uint64) {
 		}
 		r := round
 		if burst {
-			c.SubmitBurst(costs,
-				func(i int, ok bool, d sim.Time) {
+			c.SubmitBurstTo(costs, &funcSink{
+				each: func(i int, ok bool, d sim.Time) {
 					log = append(log, fmt.Sprintf("%d/%d ok=%v d=%d @%d", r, i, ok, d, loop.Now()))
 				},
-				func(members []int32) {
+				waveEnd: func(members []int32) {
 					log = append(log, fmt.Sprintf("%d wave n=%d @%d", r, len(members), loop.Now()))
-				})
+				},
+			})
 		} else {
 			for i, cy := range costs {
 				i := i
@@ -76,7 +96,7 @@ func containsWave(e string) bool {
 	return false
 }
 
-// TestSubmitBurstMatchesSubmit checks SubmitBurst is observationally
+// TestSubmitBurstMatchesSubmit checks SubmitBurstTo is observationally
 // identical to per-item Submit: same admissions, same completion times
 // and delays, same order, same counters — across core counts and
 // seeds.
@@ -111,13 +131,14 @@ func TestSubmitBurstWaves(t *testing.T) {
 	loop := sim.NewLoop(1)
 	c := NewCPU(loop, 1, 1_000_000_000, sim.Millisecond)
 	var events []string
-	c.SubmitBurst([]uint64{0, 0, 0, 100, 100},
-		func(i int, ok bool, d sim.Time) {
+	c.SubmitBurstTo([]uint64{0, 0, 0, 100, 100}, &funcSink{
+		each: func(i int, ok bool, d sim.Time) {
 			events = append(events, fmt.Sprintf("done%d@%d", i, loop.Now()))
 		},
-		func(members []int32) {
+		waveEnd: func(members []int32) {
 			events = append(events, fmt.Sprintf("wave%d@%d", len(members), loop.Now()))
-		})
+		},
+	})
 	loop.RunAll()
 	want := []string{
 		"done0@0", "done1@0", "done2@0", "wave3@0", // three zero-cost items: one wave
@@ -142,15 +163,16 @@ func TestSubmitBurstDropsSynchronous(t *testing.T) {
 	var rejected []int
 	// First item occupies the core far past the bound; the rest must be
 	// dropped at admission, synchronously.
-	c.SubmitBurst([]uint64{10_000, 5, 5},
-		func(i int, ok bool, d sim.Time) {
+	c.SubmitBurstTo([]uint64{10_000, 5, 5}, &funcSink{
+		each: func(i int, ok bool, d sim.Time) {
 			if !ok {
 				rejected = append(rejected, i)
 				if loop.Now() != 0 {
 					t.Fatalf("drop of %d fired at %v, want synchronous", i, loop.Now())
 				}
 			}
-		}, nil)
+		},
+	})
 	if len(rejected) != 2 || rejected[0] != 1 || rejected[1] != 2 {
 		t.Fatalf("rejected %v, want [1 2]", rejected)
 	}

@@ -33,7 +33,7 @@ type CPU struct {
 	order      []int64
 	orderShift uint
 
-	waveFree [][]int32 // recycled wave-member buffers for SubmitBurst
+	waveFree [][]int32 // recycled wave-member buffers for SubmitBurstTo
 	taskFree *waveTask // recycled wave events for SubmitBurstTo
 }
 
@@ -77,35 +77,6 @@ func (c *CPU) fixTop() {
 	o[i] = key
 }
 
-// reheap rebuilds the order heap from the cores array. Only tests that
-// poke busy-until times directly need it; the submit paths maintain
-// the heap incrementally.
-func (c *CPU) reheap() {
-	o := c.order
-	for i := range o {
-		o[i] = c.orderKey(i, c.cores[i])
-	}
-	for i := len(o)/2 - 1; i >= 0; i-- {
-		j := i
-		key := o[j]
-		for {
-			l := 2*j + 1
-			if l >= len(o) {
-				break
-			}
-			if r := l + 1; r < len(o) && o[r] < o[l] {
-				l = r
-			}
-			if o[l] >= key {
-				break
-			}
-			o[j] = o[l]
-			j = l
-		}
-		o[j] = key
-	}
-}
-
 // NewCPU builds a CPU with the given core count and clock.
 func NewCPU(loop *sim.Loop, cores int, hz uint64, maxDelay sim.Time) *CPU {
 	if cores < 1 {
@@ -140,42 +111,52 @@ func (c *CPU) ServiceTime(cycles uint64) sim.Time {
 	return sim.Time(cycles * uint64(sim.Second) / c.hz)
 }
 
-// Submit enqueues cycles of work. done(true, total) fires when the
-// work completes, where total is queueing delay plus service time;
-// done(false, 0) fires immediately (synchronously) if the work is
-// dropped for exceeding the queueing-delay bound. done may be nil.
-func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
+// admit places cycles of work on the earliest-free core and does the
+// accounting, returning the instant the work completes. Bounded work
+// whose queueing delay would exceed the bound is dropped instead, and
+// ok is false. Every submit path places its work here.
+func (c *CPU) admit(cycles uint64, bounded bool) (end sim.Time, ok bool) {
 	now := c.loop.Now()
 	best := c.pickCore()
 	start := c.cores[best]
 	if start < now {
 		start = now
 	}
-	if start-now > c.maxDelay {
+	if bounded && start-now > c.maxDelay {
 		c.dropped++
-		if done != nil {
-			done(false, 0)
-		}
-		return
+		return 0, false
 	}
 	st := c.ServiceTime(cycles)
-	end := start + st
+	end = start + st
 	c.cores[best] = end
 	c.order[0] = c.orderKey(best, end)
 	c.fixTop()
 	c.busy += st
 	c.coreBusy[best] += st
 	c.processed++
-	if done != nil {
-		total := end - now
-		c.loop.At(end, func() { done(true, total) })
+	return end, true
+}
+
+// Submit enqueues cycles of work. done(true, total) fires when the
+// work completes, where total is queueing delay plus service time;
+// done(false, 0) fires immediately (synchronously) if the work is
+// dropped for exceeding the queueing-delay bound. done may be nil.
+func (c *CPU) Submit(cycles uint64, done func(ok bool, delay sim.Time)) {
+	end, ok := c.admit(cycles, true)
+	if done == nil {
+		return
 	}
+	if !ok {
+		done(false, 0)
+		return
+	}
+	total := end - c.loop.Now()
+	c.loop.At(end, func() { done(true, total) })
 }
 
 // BurstSink receives a burst submission's outcomes. Callers pool their
 // sink implementations and pass them by pointer, so submitting a burst
-// allocates nothing for its callbacks (the closure-based SubmitBurst
-// wrapper exists for tests and one-off callers).
+// allocates nothing for its callbacks.
 type BurstSink interface {
 	// Complete fires per item: (i, false, 0) synchronously, in
 	// submission order, for items dropped at admission; (i, true,
@@ -186,30 +167,6 @@ type BurstSink interface {
 	// to emit coalesced output. The members slice is owned by the
 	// callback for the duration of the call only.
 	WaveEnd(members []int32)
-}
-
-// SubmitBurst is SubmitBurstTo with plain callbacks, either of which
-// may be nil. It allocates an adapter per call; hot paths implement
-// BurstSink instead.
-func (c *CPU) SubmitBurst(costs []uint64, each func(i int, ok bool, delay sim.Time), waveEnd func(members []int32)) {
-	c.SubmitBurstTo(costs, &funcSink{each: each, waveEnd: waveEnd})
-}
-
-type funcSink struct {
-	each    func(i int, ok bool, delay sim.Time)
-	waveEnd func(members []int32)
-}
-
-func (s *funcSink) Complete(i int, ok bool, delay sim.Time) {
-	if s.each != nil {
-		s.each(i, ok, delay)
-	}
-}
-
-func (s *funcSink) WaveEnd(members []int32) {
-	if s.waveEnd != nil {
-		s.waveEnd(members)
-	}
 }
 
 // SubmitBurstTo enqueues a batch of work items in one call, equivalent
@@ -225,24 +182,11 @@ func (c *CPU) SubmitBurstTo(costs []uint64, sink BurstSink) {
 	wave := c.getWave()
 	var waveAt sim.Time
 	for i, cycles := range costs {
-		best := c.pickCore()
-		start := c.cores[best]
-		if start < now {
-			start = now
-		}
-		if start-now > c.maxDelay {
-			c.dropped++
+		end, ok := c.admit(cycles, true)
+		if !ok {
 			sink.Complete(i, false, 0)
 			continue
 		}
-		st := c.ServiceTime(cycles)
-		end := start + st
-		c.cores[best] = end
-		c.order[0] = c.orderKey(best, end)
-		c.fixTop()
-		c.busy += st
-		c.coreBusy[best] += st
-		c.processed++
 		if len(wave) > 0 && end != waveAt {
 			c.scheduleWave(sink, wave, waveAt-now)
 			wave = c.getWave()
@@ -298,7 +242,7 @@ func (t *waveTask) Run() {
 
 // getWave pops a recycled wave-member buffer (or returns nil; append
 // grows it on first use). putWave returns a buffer once its scheduled
-// event has fired — completion events run strictly after SubmitBurst
+// event has fired — completion events run strictly after SubmitBurstTo
 // itself, so a buffer is never live in two waves at once.
 func (c *CPU) getWave() []int32 {
 	if n := len(c.waveFree); n > 0 {
@@ -321,40 +265,11 @@ func (c *CPU) putWave(w []int32) {
 // that rides the datapath with priority, such as Sirius-style in-line
 // state replication.
 func (c *CPU) SubmitPriority(cycles uint64, done func(delay sim.Time)) {
-	now := c.loop.Now()
-	best := c.pickCore()
-	start := c.cores[best]
-	if start < now {
-		start = now
-	}
-	st := c.ServiceTime(cycles)
-	end := start + st
-	c.cores[best] = end
-	c.order[0] = c.orderKey(best, end)
-	c.fixTop()
-	c.busy += st
-	c.coreBusy[best] += st
-	c.processed++
+	end, _ := c.admit(cycles, false) // unbounded work is always admitted
 	if done != nil {
-		total := end - now
+		total := end - c.loop.Now()
 		c.loop.At(end, func() { done(total) })
 	}
-}
-
-// TrySubmit is Submit for callers that only need the admission
-// decision synchronously; it reports whether the work was accepted.
-func (c *CPU) TrySubmit(cycles uint64, done func(delay sim.Time)) bool {
-	ok := true
-	c.Submit(cycles, func(accepted bool, d sim.Time) {
-		if !accepted {
-			ok = false
-			return
-		}
-		if done != nil {
-			done(d)
-		}
-	})
-	return ok
 }
 
 // BusyTime returns cumulative busy core-time.

@@ -113,19 +113,32 @@ func TestDropIsSynchronous(t *testing.T) {
 	loop.RunAll()
 }
 
-func TestTrySubmit(t *testing.T) {
+// TestSubmitPriorityBypassesBound: under a backlog deep enough that
+// Submit drops at admission, SubmitPriority still places its work and
+// completes it after the backlog.
+func TestSubmitPriorityBypassesBound(t *testing.T) {
 	loop := sim.NewLoop(1)
 	c := newCPU(loop, 1)
-	if !c.TrySubmit(100, nil) {
-		t.Fatal("TrySubmit should accept on idle CPU")
-	}
 	for i := 0; i < 15; i++ {
-		c.TrySubmit(100_000, nil)
+		c.Submit(100_000, nil)
 	}
-	if c.TrySubmit(100, nil) {
-		t.Fatal("TrySubmit should reject under deep backlog")
+	dropped := false
+	c.Submit(100, func(ok bool, _ sim.Time) { dropped = !ok })
+	if !dropped {
+		t.Fatal("Submit should drop under deep backlog")
 	}
+	var delay sim.Time = -1
+	c.SubmitPriority(100, func(d sim.Time) { delay = d })
 	loop.RunAll()
+	if delay < 0 {
+		t.Fatal("SubmitPriority work never completed")
+	}
+	if delay <= c.maxDelay {
+		t.Fatalf("priority delay %v should include the backlog beyond the %v bound", delay, c.maxDelay)
+	}
+	if c.Dropped() == 0 || c.Processed() == 0 {
+		t.Fatalf("processed=%d dropped=%d", c.Processed(), c.Dropped())
+	}
 }
 
 func TestUtilizationMeter(t *testing.T) {

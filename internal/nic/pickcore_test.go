@@ -101,3 +101,32 @@ func TestPickCoreTieBreakEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// reheap rebuilds the order heap from the cores array, for tests that
+// poke busy-until times directly; the submit paths maintain the heap
+// incrementally.
+func (c *CPU) reheap() {
+	o := c.order
+	for i := range o {
+		o[i] = c.orderKey(i, c.cores[i])
+	}
+	for i := len(o)/2 - 1; i >= 0; i-- {
+		j := i
+		key := o[j]
+		for {
+			l := 2*j + 1
+			if l >= len(o) {
+				break
+			}
+			if r := l + 1; r < len(o) && o[r] < o[l] {
+				l = r
+			}
+			if o[l] >= key {
+				break
+			}
+			o[j] = o[l]
+			j = l
+		}
+		o[j] = key
+	}
+}

@@ -499,13 +499,13 @@ func BenchmarkRuleSetLookup(b *testing.B) {
 	}
 }
 
-// Property: the indexed ACL lookup (built above aclIndexThreshold)
+// Property: on large ACLs (20–100 rules) the compiled walk's verdict
 // agrees with a plain priority-ordered linear scan.
-func TestQuickACLIndexEquivalence(t *testing.T) {
+func TestQuickCompiledACLEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		var rules []ACLRule
-		n := 20 + r.Intn(80) // force the indexed path
+		n := 20 + r.Intn(80)
 		for i := 0; i < n; i++ {
 			rule := ACLRule{
 				Priority: r.Intn(50), // deliberate priority collisions
@@ -526,9 +526,9 @@ func TestQuickACLIndexEquivalence(t *testing.T) {
 			}
 			rules = append(rules, rule)
 		}
-		indexed := NewACL(VerdictAllow)
+		rs := NewRuleSet(1, 1)
 		for _, rule := range rules {
-			indexed.Add(rule)
+			rs.ACL.Add(rule)
 		}
 		// Reference: stable sort by priority, linear scan.
 		ref := append([]ACLRule(nil), rules...)
@@ -550,7 +550,7 @@ func TestQuickACLIndexEquivalence(t *testing.T) {
 			if r.Intn(2) == 0 {
 				ft.DstIP = ip(10, 0, byte(r.Intn(4)), byte(r.Intn(256)))
 			}
-			if indexed.Lookup(ft) != refLookup(ft) {
+			if rs.Lookup(ft).Pre.TX.ACL != refLookup(ft) {
 				return false
 			}
 		}

@@ -337,8 +337,9 @@ func New(loop *sim.Loop, fab *fabric.Fabric, gw *fabric.Gateway, cfg Config) *VS
 	})
 	vs.refreshSessionBudget()
 	fab.Register(cfg.Addr, cfg.ToR, vs.HandleUnderlay)
-	// Coalesced deliveries (from peers using SendBurst) enter as runs;
-	// per-packet sends (probes, notifies, mirrors) use HandleUnderlay.
+	// Every fabric delivery enters through the burst handler: coalesced
+	// groups as runs, a group of one (probes, notifies, mirrors) via
+	// HandleUnderlay.
 	_ = fab.SetBurstHandler(cfg.Addr, vs.HandleUnderlayBurst)
 	return vs
 }
