@@ -18,11 +18,16 @@
 // (short for establishing sessions, §7.3).
 //
 // Layout: the table is sharded by session-key hash into numShards
-// open-addressed arrays (linear probing, backward-shift deletion,
-// pointer buckets over a freelist of entries), selected by the low
-// bits of the session-key hash. The *H method variants accept the
-// caller's precomputed key hash so the datapath hashes each packet's
-// key once.
+// open-addressed arrays (linear probing, backward-shift deletion),
+// selected by the low bits of the session-key hash. A bucket is one
+// packed uint64: the high 32 bits of the key hash as a tag and the
+// entry's slab index plus one (0 = empty), so a probe step compares
+// tags in the bucket array and loads an entry only on a tag match.
+// Entries live in a pointer-free slab of fixed 256-entry chunks that
+// never move (an *Entry stays valid while the entry is live); deleted
+// entries go on a slab freelist and are reused by later inserts. The
+// *H method variants accept the caller's precomputed key hash so the
+// datapath hashes each packet's key once.
 package flowcache
 
 import (
@@ -63,10 +68,11 @@ type Entry struct {
 	// LastSeen is the last access time (ns), for aging.
 	LastSeen int64
 
-	// hash caches Key.Hash() for probing and rehash.
+	// hash caches Key.Hash() for rehash and backward-shift deletion.
 	hash uint64
-	// free links recycled entries; nil while the entry is live.
-	free *Entry
+	// free links recycled entries by slab index plus one; 0 while the
+	// entry is live and at the end of the freelist.
+	free uint32
 }
 
 // SizeOf reports the bytes e occupies under this table's layout — the
@@ -77,15 +83,20 @@ func (t *Table) SizeOf(e *Entry) int {
 }
 
 func (e *Entry) sizeBytes(fixedState bool) int {
+	return sizeOf(e.HasPre, e.HasState, &e.State, fixedState)
+}
+
+// sizeOf is the charge of an entry with the given contents.
+func sizeOf(hasPre, hasState bool, st *state.State, fixedState bool) int {
 	n := EntryOverheadBytes
-	if e.HasPre {
+	if hasPre {
 		n += PreActionsBytes
 	}
-	if e.HasState {
+	if hasState {
 		if fixedState {
 			n += state.FixedSizeBytes
 		} else {
-			n += e.State.EncodedSize()
+			n += st.EncodedSize()
 		}
 	}
 	return n
@@ -108,11 +119,64 @@ const numShards = 8
 // minShardBuckets keeps tiny shards probe-friendly.
 const minShardBuckets = 8
 
-// shard is one open-addressed bucket array (linear probing).
+// shard is one open-addressed bucket array (linear probing). Each
+// bucket packs a hash tag and a slab index; see bucketOf.
 type shard struct {
-	buckets []*Entry
+	buckets []uint64
 	mask    uint64
 	n       int
+}
+
+// tagMask selects the hash bits a bucket keeps as its tag.
+const tagMask = ^uint64(1<<32 - 1)
+
+// bucketOf packs the entry at slab index i with key hash into a
+// non-zero bucket word.
+func bucketOf(hash uint64, i uint32) uint64 { return hash&tagMask | (uint64(i) + 1) }
+
+// slabIndex unpacks a non-zero bucket's slab index.
+func slabIndex(b uint64) uint32 { return uint32(b) - 1 }
+
+// chunkShift sets the slab chunk size: 256 entries per chunk.
+const (
+	chunkShift = 8
+	chunkSize  = 1 << chunkShift
+)
+
+// slab stores entries in fixed chunks that never move, so an *Entry
+// stays valid while its entry is live. Recycled entries are linked by
+// index through Entry.free, which keeps Entry pointer-free: the GC
+// never scans the chunks.
+type slab struct {
+	chunks [][]Entry
+	n      uint32 // entries ever handed out
+	free   uint32 // freelist head, slab index plus one; 0 = empty
+}
+
+func (sl *slab) at(i uint32) *Entry { return &sl.chunks[i>>chunkShift][i&(chunkSize-1)] }
+
+// alloc returns a zeroed entry and its index, reusing the freelist
+// when possible.
+func (sl *slab) alloc() (uint32, *Entry) {
+	if sl.free != 0 {
+		i := sl.free - 1
+		e := sl.at(i)
+		sl.free = e.free
+		e.free = 0
+		return i, e
+	}
+	if sl.n&(chunkSize-1) == 0 {
+		sl.chunks = append(sl.chunks, make([]Entry, chunkSize))
+	}
+	sl.n++
+	return sl.n - 1, sl.at(sl.n - 1)
+}
+
+// release zeroes the entry at i and pushes it on the freelist. Callers
+// must not retain its pointer: entries are reused by later inserts.
+func (sl *slab) release(i uint32) {
+	*sl.at(i) = Entry{free: sl.free}
+	sl.free = i + 1
 }
 
 // Table is the session table. Not safe for concurrent use; the
@@ -122,11 +186,12 @@ type Table struct {
 	shards [numShards]shard
 	count  int
 	mem    int
-	free   *Entry // recycled entries
+	slab   slab
 
-	// scratch collects victims for two-pass bulk deletion (Sweep,
-	// InvalidateVNIC) so iteration never races backward-shift moves.
-	scratch []*Entry
+	// scratch collects victims' slab indices for two-pass bulk
+	// deletion (Sweep, InvalidateVNIC) so iteration never races
+	// backward-shift moves.
+	scratch []uint32
 
 	// Counters for the experiments.
 	Hits      uint64
@@ -145,7 +210,7 @@ func New(cfg Config) *Table {
 }
 
 func (s *shard) init() {
-	s.buckets = make([]*Entry, minShardBuckets)
+	s.buckets = make([]uint64, minShardBuckets)
 	s.mask = minShardBuckets - 1
 	s.n = 0
 }
@@ -155,103 +220,82 @@ func (t *Table) shardOf(hash uint64) *shard {
 	return &t.shards[hash&(numShards-1)]
 }
 
-// probe returns the entry for (key, hash), or nil.
-func (s *shard) probe(key packet.SessionKey, hash uint64) *Entry {
+// probe returns the entry for (key, hash) and its bucket position, or
+// a nil entry. Only a tag match loads the entry.
+func (s *shard) probe(sl *slab, key packet.SessionKey, hash uint64) (*Entry, uint64) {
+	tag := hash & tagMask
 	i := hash & s.mask
 	for {
-		e := s.buckets[i]
-		if e == nil {
-			return nil
+		b := s.buckets[i]
+		if b == 0 {
+			return nil, 0
 		}
-		if e.hash == hash && e.Key == key {
-			return e
+		if b&tagMask == tag {
+			if e := sl.at(slabIndex(b)); e.Key == key {
+				return e, i
+			}
 		}
 		i = (i + 1) & s.mask
 	}
 }
 
-// insert places e (not already present) into the shard, growing first
-// when load would exceed 3/4.
-func (s *shard) insert(e *Entry) {
+// insert places the entry at slab index ei (not already present) into
+// the shard, growing first when load would exceed 3/4.
+func (s *shard) insert(sl *slab, ei uint32, hash uint64) {
 	if uint64(s.n+1)*4 > (s.mask+1)*3 {
-		s.grow()
+		s.grow(sl)
 	}
-	i := e.hash & s.mask
-	for s.buckets[i] != nil {
-		i = (i + 1) & s.mask
-	}
-	s.buckets[i] = e
+	s.place(bucketOf(hash, ei), hash)
 	s.n++
 }
 
-func (s *shard) grow() {
+// place puts bucket word b in the first free slot from hash's home.
+func (s *shard) place(b, hash uint64) {
+	i := hash & s.mask
+	for s.buckets[i] != 0 {
+		i = (i + 1) & s.mask
+	}
+	s.buckets[i] = b
+}
+
+func (s *shard) grow(sl *slab) {
 	old := s.buckets
 	size := (s.mask + 1) * 2
-	s.buckets = make([]*Entry, size)
+	s.buckets = make([]uint64, size)
 	s.mask = size - 1
-	for _, e := range old {
-		if e == nil {
-			continue
+	for _, b := range old {
+		if b != 0 {
+			s.place(b, sl.at(slabIndex(b)).hash)
 		}
-		i := e.hash & s.mask
-		for s.buckets[i] != nil {
-			i = (i + 1) & s.mask
-		}
-		s.buckets[i] = e
 	}
 }
 
 // remove deletes the slot holding (key, hash) via backward shift,
 // keeping every remaining entry reachable from its home slot. Returns
-// the removed entry or nil.
-func (s *shard) remove(key packet.SessionKey, hash uint64) *Entry {
-	i := hash & s.mask
-	for {
-		e := s.buckets[i]
-		if e == nil {
-			return nil
-		}
-		if e.hash == hash && e.Key == key {
-			break
-		}
-		i = (i + 1) & s.mask
+// the removed entry's slab index and whether it was present.
+func (s *shard) remove(sl *slab, key packet.SessionKey, hash uint64) (uint32, bool) {
+	e, i := s.probe(sl, key, hash)
+	if e == nil {
+		return 0, false
 	}
-	victim := s.buckets[i]
-	s.buckets[i] = nil
+	victim := slabIndex(s.buckets[i])
+	s.buckets[i] = 0
 	s.n--
 	// Backward shift: pull displaced successors into the hole.
 	j := i
 	for {
 		j = (j + 1) & s.mask
-		e := s.buckets[j]
-		if e == nil {
-			return victim
+		b := s.buckets[j]
+		if b == 0 {
+			return victim, true
 		}
-		home := e.hash & s.mask
+		home := sl.at(slabIndex(b)).hash & s.mask
 		if ((j - home) & s.mask) >= ((j - i) & s.mask) {
-			s.buckets[i] = e
-			s.buckets[j] = nil
+			s.buckets[i] = b
+			s.buckets[j] = 0
 			i = j
 		}
 	}
-}
-
-// alloc returns a zeroed entry, reusing the freelist when possible.
-func (t *Table) alloc() *Entry {
-	e := t.free
-	if e == nil {
-		return &Entry{}
-	}
-	t.free = e.free
-	*e = Entry{}
-	return e
-}
-
-// recycle returns a removed entry to the freelist. Callers must not
-// retain the pointer: entries are reused by later inserts.
-func (t *Table) recycle(e *Entry) {
-	*e = Entry{free: t.free}
-	t.free = e
 }
 
 // Len returns the number of entries.
@@ -278,7 +322,7 @@ func (t *Table) Lookup(key packet.SessionKey, now int64) *Entry {
 // datapath hashes each packet's key once and reuses it for shard
 // selection and probing).
 func (t *Table) LookupH(key packet.SessionKey, hash uint64, now int64) *Entry {
-	e := t.shardOf(hash).probe(key, hash)
+	e, _ := t.shardOf(hash).probe(&t.slab, key, hash)
 	if e == nil {
 		t.Misses++
 		return nil
@@ -295,7 +339,8 @@ func (t *Table) Peek(key packet.SessionKey) *Entry {
 
 // PeekH is Peek with a precomputed hash.
 func (t *Table) PeekH(key packet.SessionKey, hash uint64) *Entry {
-	return t.shardOf(hash).probe(key, hash)
+	e, _ := t.shardOf(hash).probe(&t.slab, key, hash)
+	return e
 }
 
 // GetOrCreate returns the existing entry or inserts an empty one,
@@ -308,7 +353,7 @@ func (t *Table) GetOrCreate(key packet.SessionKey, vnic uint32, now int64) (*Ent
 // GetOrCreateH is GetOrCreate with a precomputed hash.
 func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, now int64) (*Entry, error) {
 	s := t.shardOf(hash)
-	if e := s.probe(key, hash); e != nil {
+	if e, _ := s.probe(&t.slab, key, hash); e != nil {
 		e.LastSeen = now
 		return e, nil
 	}
@@ -317,45 +362,43 @@ func (t *Table) GetOrCreateH(key packet.SessionKey, hash uint64, vnic uint32, no
 		t.Rejects++
 		return nil, ErrNoMemory
 	}
-	e := t.alloc()
+	ei, e := t.slab.alloc()
 	e.Key, e.VNIC, e.LastSeen, e.hash = key, vnic, now, hash
-	s.insert(e)
+	s.insert(&t.slab, ei, hash)
 	t.count++
 	t.mem += sz
 	return e, nil
 }
 
-// mutate applies fn to e, re-charging its size delta. It returns
-// ErrNoMemory (and rolls back) if growth would exceed the budget.
-func (t *Table) mutate(e *Entry, fn func(*Entry)) error {
-	before := e.sizeBytes(!t.cfg.VariableState)
-	saved := *e
-	fn(e)
-	after := e.sizeBytes(!t.cfg.VariableState)
-	if after > before && t.cfg.MaxBytes > 0 && t.mem+after-before > t.cfg.MaxBytes {
-		*e = saved
+// recharge moves e's charge to that of an entry with the given
+// contents. Growth past the budget is refused with ErrNoMemory before
+// the caller writes anything, so there is nothing to roll back.
+func (t *Table) recharge(e *Entry, hasPre, hasState bool, st *state.State) error {
+	fixed := !t.cfg.VariableState
+	d := sizeOf(hasPre, hasState, st, fixed) - e.sizeBytes(fixed)
+	if d > 0 && t.cfg.MaxBytes > 0 && t.mem+d > t.cfg.MaxBytes {
 		t.Rejects++
 		return ErrNoMemory
 	}
-	t.mem += after - before
+	t.mem += d
 	return nil
 }
 
 // SetPre installs pre-actions (cached flow) on an entry.
 func (t *Table) SetPre(e *Entry, pre tables.PreActions, version uint64) error {
 	if e.HasPre {
-		// Size is unchanged (pre-actions charge a fixed 64 B), so the
-		// full mutate round-trip (two size computations plus a ~160 B
-		// entry copy) is skipped.
+		// Size is unchanged (pre-actions charge a fixed 64 B).
 		e.Pre = pre
 		e.PreVersion = version
 		return nil
 	}
-	return t.mutate(e, func(e *Entry) {
-		e.HasPre = true
-		e.Pre = pre
-		e.PreVersion = version
-	})
+	if err := t.recharge(e, true, e.HasState, &e.State); err != nil {
+		return err
+	}
+	e.HasPre = true
+	e.Pre = pre
+	e.PreVersion = version
+	return nil
 }
 
 // SetState installs or replaces the session state on an entry.
@@ -366,10 +409,12 @@ func (t *Table) SetState(e *Entry, s state.State) error {
 		e.State = s
 		return nil
 	}
-	return t.mutate(e, func(e *Entry) {
-		e.HasState = true
-		e.State = s
-	})
+	if err := t.recharge(e, e.HasPre, true, &s); err != nil {
+		return err
+	}
+	e.HasState = true
+	e.State = s
+	return nil
 }
 
 // TouchState advances the entry's state for one packet (FSM + stats),
@@ -381,10 +426,14 @@ func (t *Table) TouchState(e *Entry, dir packet.Direction, flags packet.TCPFlags
 		e.State.Touch(dir, flags, payloadLen, now)
 		return nil
 	}
-	return t.mutate(e, func(e *Entry) {
-		e.HasState = true
-		e.State.Touch(dir, flags, payloadLen, now)
-	})
+	next := e.State
+	next.Touch(dir, flags, payloadLen, now)
+	if err := t.recharge(e, e.HasPre, true, &next); err != nil {
+		return err
+	}
+	e.HasState = true
+	e.State = next
+	return nil
 }
 
 // DropPre removes cached pre-actions from an entry, refunding their
@@ -394,11 +443,10 @@ func (t *Table) DropPre(e *Entry) {
 	if !e.HasPre {
 		return
 	}
-	_ = t.mutate(e, func(e *Entry) {
-		e.HasPre = false
-		e.Pre = tables.PreActions{}
-		e.PreVersion = 0
-	})
+	_ = t.recharge(e, false, e.HasState, &e.State) // shrinking always fits
+	e.HasPre = false
+	e.Pre = tables.PreActions{}
+	e.PreVersion = 0
 }
 
 // Delete removes an entry, refunding its memory.
@@ -407,13 +455,13 @@ func (t *Table) Delete(key packet.SessionKey) {
 }
 
 func (t *Table) deleteH(key packet.SessionKey, hash uint64) {
-	e := t.shardOf(hash).remove(key, hash)
-	if e == nil {
+	ei, ok := t.shardOf(hash).remove(&t.slab, key, hash)
+	if !ok {
 		return
 	}
-	t.mem -= e.sizeBytes(!t.cfg.VariableState)
+	t.mem -= t.slab.at(ei).sizeBytes(!t.cfg.VariableState)
 	t.count--
-	t.recycle(e)
+	t.slab.release(ei)
 }
 
 // bulkDelete removes every entry fn selects, two-pass: victims are
@@ -423,21 +471,18 @@ func (t *Table) deleteH(key packet.SessionKey, hash uint64) {
 func (t *Table) bulkDelete(fn func(*Entry) bool) int {
 	victims := t.scratch[:0]
 	for si := range t.shards {
-		for _, e := range t.shards[si].buckets {
-			if e != nil && fn(e) {
-				victims = append(victims, e)
+		for _, b := range t.shards[si].buckets {
+			if b != 0 && fn(t.slab.at(slabIndex(b))) {
+				victims = append(victims, slabIndex(b))
 			}
 		}
 	}
-	for _, e := range victims {
+	for _, ei := range victims {
+		e := t.slab.at(ei)
 		t.deleteH(e.Key, e.hash)
 	}
-	n := len(victims)
-	for i := range victims {
-		victims[i] = nil
-	}
 	t.scratch = victims[:0]
-	return n
+	return len(victims)
 }
 
 // InvalidateVNIC drops every entry belonging to vnic — used when a
@@ -453,7 +498,7 @@ func (t *Table) Clear() {
 	}
 	t.count = 0
 	t.mem = 0
-	t.free = nil
+	t.slab = slab{}
 }
 
 // idleAging is the eviction idle time for entries without state (FE
@@ -480,8 +525,8 @@ func (t *Table) Sweep(now int64) int {
 // walk.
 func (t *Table) Range(fn func(*Entry) bool) {
 	for si := range t.shards {
-		for _, e := range t.shards[si].buckets {
-			if e != nil && !fn(e) {
+		for _, b := range t.shards[si].buckets {
+			if b != 0 && !fn(t.slab.at(slabIndex(b))) {
 				return
 			}
 		}

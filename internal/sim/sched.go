@@ -80,8 +80,8 @@ type calendarQueue struct {
 	bitmap  [calBuckets / 64]uint64
 	// baseSlot is the absolute slot of the window's earliest bucket;
 	// every queued wheel event lives in [baseSlot, baseSlot+calBuckets).
-	// It only advances, and only to slots whose earlier buckets have
-	// fully drained.
+	// It only advances, only to slots whose earlier buckets have fully
+	// drained, and never past the slot of popLE's limit.
 	baseSlot int64
 	wheelN   int
 	far      eventQueue // min-(at,seq) heap of events beyond the window
@@ -96,9 +96,11 @@ func (c *calendarQueue) push(ev *event) {
 	c.size++
 	slot := slotOf(ev.at)
 	if slot < c.baseSlot {
-		// The window has advanced past this event's natural slot
-		// (possible after an idle jump); park it in the base bucket —
-		// the (at, seq) sort inside the bucket keeps exact order.
+		// The window has advanced past this event's natural slot; park
+		// it in the base bucket — the (at, seq) sort inside the bucket
+		// keeps exact order. popLE never moves the window past its run
+		// limit, so this only happens after Step or RunAll (both run to
+		// MaxTime) discard cancelled events queued beyond Now().
 		slot = c.baseSlot
 	}
 	if slot >= c.baseSlot+calBuckets {
@@ -159,16 +161,30 @@ func cmpEvent(a, b *event) int {
 	return 0
 }
 
+// advance moves the window base forward to slot; it never moves back.
+func (c *calendarQueue) advance(slot int64) {
+	if slot > c.baseSlot {
+		c.baseSlot = slot
+	}
+}
+
 func (c *calendarQueue) popLE(max Time) *event {
 	if c.size == 0 {
 		return nil
 	}
+	// The window never advances past the limit's slot: a push from
+	// outside the loop after Run(max) must land in its own slot, not be
+	// parked in a base bucket that jumped ahead to a far timer.
+	limit := slotOf(max)
 	if c.wheelN == 0 {
 		// Idle jump: nothing in the window; rebase it at the earliest
 		// far event instead of sweeping empty rotations.
-		c.baseSlot = slotOf(c.far[0].at)
+		c.advance(min(slotOf(c.far[0].at), limit))
 	}
 	c.migrate()
+	if c.wheelN == 0 {
+		return nil // the earliest event lies beyond the limit
+	}
 
 	// Scan the occupancy bitmap from the base slot, wrapping once.
 	start := int(c.baseSlot & calMask)
@@ -197,7 +213,14 @@ func (c *calendarQueue) popLE(max Time) *event {
 	// so no event is left behind; far events uncovered by the larger
 	// window migrate on the next pop, and they cannot precede this
 	// bucket's events (they were beyond the previous window end).
-	c.baseSlot += int64((idx - start + calBuckets) & calMask)
+	// The base bucket itself may hold parked events from earlier
+	// slots, so only a later bucket proves every event is past max.
+	slot := c.baseSlot + int64((idx-start+calBuckets)&calMask)
+	if slot > limit && slot > c.baseSlot {
+		c.advance(limit)
+		return nil
+	}
+	c.baseSlot = slot
 
 	b := &c.buckets[idx]
 	if !b.sorted {

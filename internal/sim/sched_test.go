@@ -131,10 +131,10 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 	l := NewLoopSched(1, SchedCalendar)
 	var got []string
 	l.At(100*Millisecond, func() { got = append(got, "far") })
-	// Run to 50 ms: nothing fires, but popLE's idle jump advances the
-	// window base to the 100 ms slot.
+	// Run to 50 ms: nothing fires; popLE's idle jump moves the window
+	// base no further than the 50 ms slot, the run limit.
 	l.Run(50 * Millisecond)
-	// Now schedule earlier than the jumped-to slot (but >= now).
+	// Now schedule between the run limit and the far timer (>= now).
 	l.At(60*Millisecond, func() { got = append(got, "early") })
 	l.At(60*Millisecond, func() { got = append(got, "early2") })
 	l.RunAll()
@@ -145,6 +145,70 @@ func TestCalendarIdleJumpThenEarlyPush(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("fired %v, want %v", got, want)
+		}
+	}
+}
+
+// TestCalendarWindowStopsAtRunLimit pins the window to the run limit:
+// after Run(until) on a wheel whose only event is a far timer, the base
+// slot must not have jumped to that timer, so events scheduled from
+// outside the loop just after until land in their own slots instead of
+// piling into one sorted base bucket.
+func TestCalendarWindowStopsAtRunLimit(t *testing.T) {
+	l := NewLoopSched(1, SchedCalendar)
+	c := l.sched.(*calendarQueue)
+	var got []Time
+	l.At(Second, func() { got = append(got, l.Now()) })
+	until := 100 * Millisecond
+	l.Run(until)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		// Distinct microseconds in [until, until+10ms), pushed in a
+		// scrambled order so a parked bucket would have to sort.
+		at := until + Time((i*7919)%n)*Microsecond
+		l.At(at, func() { got = append(got, l.Now()) })
+	}
+	for idx := range c.buckets {
+		b := &c.buckets[idx]
+		for _, ev := range b.evs[b.next:] {
+			if slotOf(ev.at) != slotOf(b.evs[b.next].at) {
+				t.Fatalf("bucket %d holds %d events spanning slots %d..%d", idx,
+					len(b.evs)-b.next, slotOf(b.evs[b.next].at), slotOf(ev.at))
+			}
+		}
+	}
+	if c.baseSlot > slotOf(until) {
+		t.Fatalf("baseSlot %d past the run limit's slot %d", c.baseSlot, slotOf(until))
+	}
+	l.RunAll()
+	if len(got) != n+1 {
+		t.Fatalf("fired %d events, want %d", len(got), n+1)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("event %d fired at %d after %d", i, got[i], got[i-1])
+		}
+	}
+}
+
+// TestCalendarParkAfterCancelledTail covers the one way the window can
+// still pass Now(): Step discards a cancelled event queued far ahead,
+// and later pushes behind the window base must be parked in the base
+// bucket and still fire in (at, seq) order, as on the heap.
+func TestCalendarParkAfterCancelledTail(t *testing.T) {
+	for _, kind := range []SchedulerKind{SchedHeap, SchedCalendar} {
+		l := NewLoopSched(1, kind)
+		var got []string
+		l.At(Millisecond, func() { got = append(got, "cancelled") }).Cancel()
+		if l.Step() {
+			t.Fatalf("%v: Step fired a cancelled event", kind)
+		}
+		l.At(20*Microsecond, func() { got = append(got, "b") })
+		l.At(10*Microsecond, func() { got = append(got, "a") })
+		l.At(20*Microsecond, func() { got = append(got, "c") })
+		l.RunAll()
+		if fmt.Sprint(got) != "[a b c]" {
+			t.Fatalf("%v: fired %v, want [a b c]", kind, got)
 		}
 	}
 }
